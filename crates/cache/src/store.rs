@@ -4,9 +4,10 @@
 //! fingerprint) to evaluation results. The map is split across
 //! [`N_SHARDS`] independently locked shards so concurrent clients
 //! rarely contend; each shard enforces its slice of the global byte
-//! budget with lazy-LRU eviction (a recency queue of `(key, stamp)`
-//! pairs whose stale entries are skipped at eviction time — touches are
-//! O(1), eviction amortized O(1)). All accounting — hits, misses,
+//! budget with LRU eviction: every entry carries the tick of its last
+//! use, touches are O(1), and a full shard sorts by tick once to evict
+//! the oldest eighth of its budget (amortized O(log n) per insert). All
+//! accounting — hits, misses,
 //! insertions, evictions, live entries, live bytes — is exposed as a
 //! serializable [`CacheStats`] snapshot.
 //!
@@ -17,7 +18,7 @@
 
 use crate::fingerprint::Fingerprint;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use whatif_obs::lockcheck::{Mutex, MutexGuard};
 
@@ -29,7 +30,8 @@ pub const N_SHARDS: usize = 16;
 const SHARD_CLASS: &str = "cache.resultcache.shard";
 
 /// Fixed per-entry overhead charged on top of the value's own weight:
-/// the key (32 bytes), the hash-map slot, and the recency-queue node.
+/// the key (32 bytes), the recency stamp, and the hash table's control
+/// byte and spare capacity.
 pub const ENTRY_OVERHEAD_BYTES: usize = 96;
 
 /// A content-addressed cache key: *which model* × *which question*.
@@ -109,17 +111,27 @@ impl CacheStats {
     }
 }
 
+/// A cached value and its recency stamp. Its weight is recomputed
+/// from the value when it leaves rather than stored: values are
+/// immutable, and the slot stays 8 bytes smaller.
 struct Entry<V> {
     value: V,
-    weight: usize,
     stamp: u64,
 }
 
+fn entry_weight<V: CacheWeight>(value: &V) -> usize {
+    value.weight_bytes() + ENTRY_OVERHEAD_BYTES
+}
+
 struct Shard<V> {
-    entries: HashMap<CacheKey, Entry<V>>,
-    /// Recency queue; stale pairs (stamp no longer current for the key)
-    /// are skipped during eviction.
-    recency: VecDeque<(CacheKey, u64)>,
+    /// Entries grouped by the model half of their key, so a slot stores
+    /// only the 16-byte payload half: a what-if grid inserts thousands
+    /// of entries under one model. Each entry carries the tick of its
+    /// last insert or hit, which orders eviction; there is no separate
+    /// recency queue, which at one pair per entry cost as much memory
+    /// as the slots themselves.
+    models: HashMap<Fingerprint, HashMap<Fingerprint, Entry<V>>>,
+    len: usize,
     tick: u64,
     bytes: usize,
 }
@@ -127,8 +139,8 @@ struct Shard<V> {
 impl<V> Shard<V> {
     fn new() -> Shard<V> {
         Shard {
-            entries: HashMap::new(),
-            recency: VecDeque::new(),
+            models: HashMap::new(),
+            len: 0,
             tick: 0,
             bytes: 0,
         }
@@ -136,46 +148,71 @@ impl<V> Shard<V> {
 
     fn touch(&mut self, key: CacheKey) -> Option<&Entry<V>> {
         self.tick += 1;
-        let tick = self.tick;
-        let entry = self.entries.get_mut(&key)?;
-        entry.stamp = tick;
-        self.recency.push_back((key, tick));
-        self.maybe_compact();
-        self.entries.get(&key)
+        let entry = self.models.get_mut(&key.model)?.get_mut(&key.payload)?;
+        entry.stamp = self.tick;
+        Some(entry)
     }
 
-    /// Drop stale recency pairs once the queue outgrows the live
-    /// population by 4× — touches append a pair per hit, so without
-    /// this a warm under-budget cache (which never evicts) would grow
-    /// the queue forever. Amortized O(1): each compaction is O(queue)
-    /// but only runs after the queue has doubled twice.
-    fn maybe_compact(&mut self) {
-        if self.recency.len() > 64 && self.recency.len() > 4 * self.entries.len() {
-            let entries = &self.entries;
-            self.recency
-                .retain(|(key, stamp)| entries.get(key).is_some_and(|e| e.stamp == *stamp));
-        }
+    /// Insert or replace; returns the replaced entry.
+    fn put(&mut self, key: CacheKey, value: V) -> Option<Entry<V>> {
+        self.tick += 1;
+        let entry = Entry {
+            value,
+            stamp: self.tick,
+        };
+        let old = self
+            .models
+            .entry(key.model)
+            .or_default()
+            .insert(key.payload, entry);
+        self.len += usize::from(old.is_none());
+        old
     }
 
-    /// Evict strictly least-recently-used entries until `bytes <=
-    /// budget`; returns how many were evicted.
+    fn clear(&mut self) {
+        self.models.clear();
+        self.len = 0;
+        self.tick = 0;
+        self.bytes = 0;
+    }
+}
+
+impl<V: CacheWeight> Shard<V> {
+    /// Evict least-recently-used entries until `bytes <= budget`, then
+    /// keep evicting in the same order while the next entry would leave
+    /// at least 7/8 of the budget in use. Finding the order is a sort of
+    /// the whole shard, so a full cache pays it once per ~1/8 budget of
+    /// inserts rather than on every insert. Returns how many were
+    /// evicted.
     fn evict_to(&mut self, budget: usize) -> u64 {
-        let mut evicted = 0;
-        while self.bytes > budget {
-            let Some((key, stamp)) = self.recency.pop_front() else {
-                break; // defensive: accounting says bytes>0 but queue drained
-            };
-            let current = self.entries.get(&key).map(|e| e.stamp);
-            if current == Some(stamp) {
-                let entry = self.entries.remove(&key).expect("checked above");
-                self.bytes -= entry.weight;
-                evicted += 1;
-            }
-            // Otherwise the pair is a stale residue of a later touch
-            // (or an already-removed key): drop it and keep going.
+        if self.bytes <= budget {
+            return 0;
         }
-        if self.entries.is_empty() {
-            self.recency.clear();
+        let mut order: Vec<(u64, CacheKey)> = self
+            .models
+            .iter()
+            .flat_map(|(&model, entries)| {
+                entries
+                    .iter()
+                    .map(move |(&payload, e)| (e.stamp, CacheKey { model, payload }))
+            })
+            .collect();
+        order.sort_unstable_by_key(|&(stamp, _)| stamp);
+        let floor = budget - budget / 8;
+        let mut evicted = 0;
+        for (_, key) in order {
+            let entries = self.models.get_mut(&key.model).expect("listed above");
+            let weight = entry_weight(&entries[&key.payload].value);
+            if self.bytes <= budget && self.bytes - weight < floor {
+                break;
+            }
+            entries.remove(&key.payload);
+            self.bytes -= weight;
+            self.len -= 1;
+            evicted += 1;
+        }
+        self.models.retain(|_, entries| !entries.is_empty());
+        if self.len == 0 {
             self.tick = 0;
         }
         evicted
@@ -267,7 +304,7 @@ impl<V> ResultCache<V> {
         if !self.is_enabled() {
             return;
         }
-        let weight = value.weight_bytes() + ENTRY_OVERHEAD_BYTES;
+        let weight = entry_weight(&value);
         let budget = self.shard_budget();
         if weight > budget {
             self.oversized_skips.fetch_add(1, Ordering::Relaxed);
@@ -275,21 +312,10 @@ impl<V> ResultCache<V> {
         }
         let evicted = {
             let mut shard = self.shard(&key);
-            shard.tick += 1;
-            let tick = shard.tick;
-            if let Some(old) = shard.entries.insert(
-                key,
-                Entry {
-                    value,
-                    weight,
-                    stamp: tick,
-                },
-            ) {
-                shard.bytes -= old.weight;
+            if let Some(old) = shard.put(key, value) {
+                shard.bytes -= entry_weight(&old.value);
             }
             shard.bytes += weight;
-            shard.recency.push_back((key, tick));
-            shard.maybe_compact();
             shard.evict_to(budget)
         };
         self.insertions.fetch_add(1, Ordering::Relaxed);
@@ -298,7 +324,10 @@ impl<V> ResultCache<V> {
 
     /// Reconfigure capacity and/or enablement; a shrunk capacity
     /// triggers immediate eviction down to the new budget.
-    pub fn configure(&self, capacity_bytes: Option<usize>, enabled: Option<bool>) {
+    pub fn configure(&self, capacity_bytes: Option<usize>, enabled: Option<bool>)
+    where
+        V: CacheWeight,
+    {
         if let Some(capacity) = capacity_bytes {
             self.capacity_bytes.store(capacity, Ordering::Relaxed);
             let budget = self.shard_budget();
@@ -317,11 +346,7 @@ impl<V> ResultCache<V> {
     /// cache's lifetime, not its current contents).
     pub fn clear(&self) {
         for shard in &self.shards {
-            let mut shard = shard.lock();
-            shard.entries.clear();
-            shard.recency.clear();
-            shard.tick = 0;
-            shard.bytes = 0;
+            shard.lock().clear();
         }
     }
 
@@ -332,7 +357,7 @@ impl<V> ResultCache<V> {
         let (mut entries, mut bytes) = (0u64, 0u64);
         for shard in &self.shards {
             let shard = shard.lock();
-            entries += shard.entries.len() as u64;
+            entries += shard.len as u64;
             bytes += shard.bytes as u64;
         }
         CacheStats {
@@ -528,22 +553,31 @@ mod tests {
     }
 
     #[test]
-    fn recency_queue_stays_bounded_under_hot_hits() {
-        let cache: ResultCache<u64> = ResultCache::new(1 << 20);
-        let k = key(3, 3);
-        cache.insert(k, 1);
-        for _ in 0..10_000 {
-            assert_eq!(cache.get(&k), Some(1));
+    fn a_full_shard_evicts_an_eighth_of_its_budget_oldest_first() {
+        let per_entry = 8 + ENTRY_OVERHEAD_BYTES;
+        let cache: ResultCache<u64> = ResultCache::new(64 * per_entry * N_SHARDS);
+        let shard = key(5, 0).shard_index();
+        let keys: Vec<CacheKey> = (0..)
+            .map(|i| key(5, i))
+            .filter(|k| k.shard_index() == shard)
+            .take(65)
+            .collect();
+        for (n, &k) in keys[..64].iter().enumerate() {
+            cache.insert(k, n as u64);
         }
-        // One live entry: the recency queue must have compacted, not
-        // accumulated one pair per hit.
-        let shard = cache.shards[k.shard_index()].lock();
-        assert_eq!(shard.entries.len(), 1);
-        assert!(
-            shard.recency.len() <= 65,
-            "queue leaked: {} pairs for 1 entry",
-            shard.recency.len()
-        );
+        // Touch the oldest so it is the most recent, then overflow.
+        assert_eq!(cache.get(&keys[0]), Some(0));
+        cache.insert(keys[64], 64);
+        // One sort freed 1/8 of the budget: the 8 least recently used
+        // went in one pass, not one per later insert.
+        let s = cache.stats();
+        assert_eq!(s.evictions, 9);
+        assert_eq!(s.entries, 56);
+        assert_eq!(cache.get(&keys[0]), Some(0), "touched entry kept");
+        for &k in &keys[1..10] {
+            assert_eq!(cache.get(&k), None, "LRU entries went");
+        }
+        assert_eq!(cache.get(&keys[10]), Some(10));
     }
 
     #[test]

@@ -7,9 +7,16 @@
 //!   via Rust's shortest-roundtrip `{:?}` formatting,
 //! * non-finite floats render as `null` (JSON has no NaN/inf),
 //! * `from_str` requires the whole input to be one JSON document,
-//! * errors carry a byte offset for malformed documents.
+//! * errors carry a byte offset for malformed documents,
+//! * arrays and objects nest at most [`MAX_DEPTH`] levels deep (the
+//!   parser recurses once per level, so an unbounded document could
+//!   overflow the stack and abort the process).
 
 pub use serde::Value;
+
+/// Deepest array/object nesting [`parse`] accepts; deeper documents are
+/// a parse error. Matches upstream serde_json's default recursion limit.
+pub const MAX_DEPTH: usize = 128;
 
 /// Encode or decode failure.
 #[derive(Clone, Debug)]
@@ -86,11 +93,13 @@ pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T, Error> {
 /// Parse one JSON document into a raw [`Value`].
 ///
 /// # Errors
-/// Malformed JSON or trailing garbage.
+/// Malformed JSON, trailing garbage, or nesting deeper than
+/// [`MAX_DEPTH`].
 pub fn parse(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -212,6 +221,8 @@ fn write_string(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -249,8 +260,8 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::String),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(c) => Err(Error::at(
                 format!("unexpected character `{}`", c as char),
@@ -258,6 +269,21 @@ impl<'a> Parser<'a> {
             )),
             None => Err(Error::at("unexpected end of input", self.pos)),
         }
+    }
+
+    /// Parse one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::at(
+                format!("nesting deeper than {MAX_DEPTH} levels"),
+                self.pos,
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -490,6 +516,24 @@ mod tests {
         for bad in ["", "{", "[1,", "tru", "\"open", "{\"a\":}", "1 2", "nul"] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let err = parse(&deep).unwrap_err().to_string();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&objects).is_err());
+        // Far past the cap, the parser still fails cleanly.
+        assert!(parse(&"[".repeat(200_000)).is_err());
+        assert!(parse(&"{\"a\":[".repeat(100_000)).is_err());
     }
 
     #[test]

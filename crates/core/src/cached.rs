@@ -60,19 +60,22 @@ pub enum CachedOutcome {
     /// The KPI of the training data under one compiled plan.
     Kpi(f64),
     /// A per-row sensitivity result.
-    PerData(PerDataSensitivity),
+    PerData(Box<PerDataSensitivity>),
     /// A whole goal-inversion result.
-    Goal(GoalInversionResult),
+    Goal(Box<GoalInversionResult>),
 }
 
 impl CacheWeight for CachedOutcome {
     fn weight_bytes(&self) -> usize {
         // Every stored value occupies the full enum in the map slot —
         // the largest variant's inline size — regardless of which
-        // variant it is; heap-owned payloads are charged on top.
+        // variant it is; heap-owned payloads are charged on top. The
+        // rare variants are boxed so that the common `Kpi` slot stays
+        // 16 bytes instead of paying for the widest result inline.
         let inline = std::mem::size_of::<CachedOutcome>();
         match self {
-            CachedOutcome::Kpi(_) | CachedOutcome::PerData(_) => inline,
+            CachedOutcome::Kpi(_) => inline,
+            CachedOutcome::PerData(_) => inline + std::mem::size_of::<PerDataSensitivity>(),
             CachedOutcome::Goal(g) => {
                 let heap: usize = g
                     .driver_percentages
@@ -80,7 +83,7 @@ impl CacheWeight for CachedOutcome {
                     .chain(&g.driver_values)
                     .map(|(name, _)| name.len() + std::mem::size_of::<(String, f64)>())
                     .sum();
-                inline + heap
+                inline + std::mem::size_of::<GoalInversionResult>() + heap
             }
         }
     }
@@ -280,13 +283,13 @@ impl TrainedModel {
         let plan = self.compile_perturbations(set)?;
         let key = per_data_key(self, row, &plan);
         if let Some(CachedOutcome::PerData(result)) = cache.get(&key) {
-            return Ok((result, true));
+            return Ok((*result, true));
         }
         let result = {
             let _stage = whatif_obs::span::stage(whatif_obs::Stage::Predict);
             self.per_data_for_plan(row, &plan)?
         };
-        cache.insert(key, CachedOutcome::PerData(result.clone()));
+        cache.insert(key, CachedOutcome::PerData(Box::new(result.clone())));
         Ok((result, false))
     }
 
@@ -303,10 +306,10 @@ impl TrainedModel {
     ) -> Result<(GoalInversionResult, bool)> {
         let key = goal_key(self, config);
         if let Some(CachedOutcome::Goal(result)) = cache.get(&key) {
-            return Ok((result, true));
+            return Ok((*result, true));
         }
         let result = self.goal_inversion(config)?;
-        cache.insert(key, CachedOutcome::Goal(result.clone()));
+        cache.insert(key, CachedOutcome::Goal(Box::new(result.clone())));
         Ok((result, false))
     }
 
@@ -406,6 +409,35 @@ mod tests {
 
     fn set() -> PerturbationSet {
         PerturbationSet::new(vec![Perturbation::percentage("a", 10.0)])
+    }
+
+    #[test]
+    fn cache_slot_stays_small() {
+        // Every entry pays the widest variant's inline size; a `Kpi`
+        // slot must not carry a goal-inversion result inline.
+        assert_eq!(std::mem::size_of::<CachedOutcome>(), 16);
+        assert_eq!(CachedOutcome::Kpi(1.0).weight_bytes(), 16);
+        let per_data = CachedOutcome::PerData(Box::new(PerDataSensitivity {
+            row: 0,
+            baseline: 1.0,
+            perturbed: 2.0,
+        }));
+        assert_eq!(per_data.weight_bytes(), 16 + 24);
+        let goal = CachedOutcome::Goal(Box::new(GoalInversionResult {
+            goal: Goal::Maximize,
+            achieved_kpi: 1.0,
+            baseline_kpi: 0.5,
+            confidence: 0.9,
+            driver_percentages: vec![("a".into(), 10.0)],
+            driver_values: vec![("a".into(), 1.1)],
+            n_evals: 3,
+            converged: true,
+        }));
+        let heap = 2 * (1 + std::mem::size_of::<(String, f64)>());
+        assert_eq!(
+            goal.weight_bytes(),
+            16 + std::mem::size_of::<GoalInversionResult>() + heap
+        );
     }
 
     #[test]

@@ -114,7 +114,7 @@ impl AnalysisSpec {
         self.run_on_model(model, None).map(|(outcome, _)| outcome)
     }
 
-    /// Run this analysis through a shared [`EvalCache`]: identical
+    /// Run this analysis through a shared [`EvalCache`](crate::cached::EvalCache): identical
     /// *(model, analysis)* pairs short-circuit with bit-identical
     /// results. Returns the outcome plus whether it was fully served
     /// from the cache (the v2 protocol's `cached` reply marker).

@@ -50,7 +50,7 @@ const INTERCEPT: f64 = -6.95;
 const NOISE_STD: f64 = 0.8;
 
 /// Noise-free retention probability given raw activity values (ordered
-/// as in [`ACTIVITIES`]).
+/// as in `ACTIVITIES`).
 pub fn true_retention_probability(activities: &[f64]) -> f64 {
     let mut z = INTERCEPT;
     for (j, &(_, _, b)) in ACTIVITIES.iter().enumerate() {

@@ -7,7 +7,7 @@
 //! row-major `u8` bin matrix, and every split decision is made from
 //! per-node histograms:
 //!
-//! * **Binning** reuses the [`FullPresort`] sort work — per-feature run
+//! * **Binning** reuses the `FullPresort` sort work — per-feature run
 //!   counts and cut values fall out of the packed value classes in one
 //!   O(rows) walk, with [`whatif_stats::quantile_run_bins`] choosing
 //!   equal-count bin boundaries (runs of equal values never straddle a
@@ -15,7 +15,7 @@
 //! * **Accumulation** samples the node's feature subset *first*, then
 //!   makes one streaming pass over the node's rows filling only those
 //!   `k` histograms (`[count, Σy, Σy²]` per bin via
-//!   [`Criterion::add`]). Forests sample features per **node**, so
+//!   `Criterion::add`). Forests sample features per **node**, so
 //!   only `k` of `p` histograms are ever scanned — streaming the rows
 //!   for just those beats maintaining all-feature histograms for
 //!   parent−sibling subtraction, which must accumulate every feature.
@@ -32,7 +32,7 @@
 //! The same machinery powers [`GbdtRegressor`] / [`GbdtClassifier`]:
 //! sequential shallow binned trees fit to residuals (least squares) or
 //! logistic gradients, with shrinkage and early stopping on an internal
-//! holdout. Fitted rounds are ordinary [`FlatTree`]s, so the tree-major
+//! holdout. Fitted rounds are ordinary `FlatTree`s, so the tree-major
 //! batched prediction path — and everything stacked on it (overlays,
 //! caches, wire protocols) — works unchanged.
 
@@ -409,7 +409,7 @@ pub(crate) fn grow_binned<C: Criterion>(
         C::add(&mut root, e.y);
     }
     g.grow(0, n, 0, root);
-    FlatTree::from_parts(g.meta, g.thresh, p, g.importances, g.max_depth_seen)
+    FlatTree::from_parts(&g.meta, &g.thresh, p, g.importances, g.max_depth_seen)
 }
 
 /// Single-tree entry point ([`crate::tree`]'s `Trainer::Binned` route):
@@ -863,7 +863,7 @@ mod tests {
         assert_eq!(d.bin(0, 0), d.bin(1, 0));
         let t = d.cut(0, 0);
         // Both zeros route left of the cut, 1.0 routes right.
-        assert!(0.0 <= t && -0.0 <= t && 1.0 > t);
+        assert!((0.0..1.0).contains(&t));
     }
 
     #[test]
@@ -880,7 +880,7 @@ mod tests {
         assert_eq!(d.bin(3, 0), 3);
         // -∞ | -1: midpoint is -∞ and still separates (only -∞ ≤ -∞).
         let t0 = d.cut(0, 0);
-        assert!(f64::NEG_INFINITY <= t0 && -1.0 > t0);
+        assert!((f64::NEG_INFINITY..-1.0).contains(&t0));
         // 2 | +∞: midpoint overflows to +∞, guard falls back to the
         // left endpoint so +∞ routes right.
         let t2 = d.cut(0, 2);
@@ -894,7 +894,7 @@ mod tests {
         let (x, ps) = dataset(&rows);
         let d = BinnedDataset::from_presort(&x, &ps, 256);
         let nb = d.n_bins(0);
-        assert!(nb <= 256 && nb >= 250, "{nb} bins");
+        assert!((250..=256).contains(&nb), "{nb} bins");
         // Bin ids are monotone in the value and every cut separates its
         // boundary: v ≤ cut(b) iff bin(v) ≤ b.
         for r in 0..999 {

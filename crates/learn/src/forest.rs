@@ -11,9 +11,11 @@
 //! blocks of [`PREDICT_ROW_BLOCK`], and within a block every tree is
 //! traversed for all rows before the next tree starts, so one tree's
 //! flattened node arrays stay cache-hot across the block instead of the
-//! whole forest being dragged through cache once per row. The per-row
-//! shape check is hoisted to one check per batch. Both changes are
-//! bit-identical to the row-major seed path, which is retained as
+//! whole forest being dragged through cache once per row. Each tree
+//! walks the block eight rows at a time in branch-free lockstep (see
+//! `FlatTree::accumulate_block`), and the per-row shape check is
+//! hoisted to one check per batch. The result is bit-identical to the
+//! row-major seed path, which is retained as
 //! [`RandomForestClassifier::predict_batch_rowmajor`] (and the regressor
 //! twin) for equivalence tests and old-vs-new benchmarks.
 

@@ -9,17 +9,25 @@
 //! # Hot-path layout
 //!
 //! Training uses **presorted split finding**: the full dataset is
-//! sorted once per forest ([`FullPresort`]), each tree derives its
+//! sorted once per forest (`FullPresort`), each tree derives its
 //! bootstrap sample's per-feature sorted columns with a linear counting
 //! scatter, and the columns are partitioned stably down the tree — no
 //! node ever sorts, and the per-node cost is a few linear passes over a
 //! reusable per-tree workspace instead of the seed's per-node
 //! gather-and-sort. Constant features and leaf-only fringes drop out of
 //! the partition work entirely. Fitted trees are stored **flattened**
-//! ([`FlatTree`]): packed `u32` feature/right-child index words with a
+//! (`FlatTree`): packed `u32` feature/right-child index words with a
 //! leaf sentinel next to one contiguous `f64` array holding thresholds
-//! and leaf values (the left child is always the next node, pre-order).
-//! Both changes are **bit-identical** to the seed implementation, which
+//! and leaf values (the left child is always the next node, pre-order),
+//! each array sized to exactly the tree's nodes.
+//!
+//! Batched prediction walks a tree for eight rows in **lockstep**, for
+//! exactly the tree's depth, choosing every next node with
+//! [`std::hint::select_unpredictable`] instead of a data-dependent
+//! branch; rows that reach a leaf early stay on it. A branchy walk pays
+//! about one mispredict per level, which dominated scoring.
+//!
+//! All of this is **bit-identical** to the seed implementation, which
 //! is retained as the `Reference` trainer and [`SeedLayoutTree`] for
 //! equivalence tests and old-vs-new benchmarks — see `docs/FOREST.md`
 //! for the determinism and tie-order contract.
@@ -75,15 +83,20 @@ pub enum Trainer {
     /// Per-node gather + stable sort (the seed implementation).
     Reference,
     /// Histogram-binned split finding: each feature quantized to ≤256
-    /// quantile buckets once per forest, per-node histograms built in
-    /// one streaming pass, children derived by parent − sibling
-    /// subtraction. Approximate (own accuracy contract), not
-    /// bit-identical to the exact tiers.
+    /// quantile buckets once per forest; every node streams its own
+    /// rows once to fill histograms for just its sampled features (no
+    /// parent − sibling histogram subtraction), and a split's right
+    /// side is the node total minus the running left prefix.
+    /// Approximate (own accuracy contract), not bit-identical to the
+    /// exact tiers.
     Binned,
 }
 
 /// Leaf sentinel in the feature half of [`FlatTree::meta`].
 pub(crate) const LEAF: u32 = u32::MAX;
+
+/// Rows per lockstep group in [`FlatTree::accumulate_block`].
+const LOCKSTEP_ROWS: usize = 8;
 
 /// Map an f64 to a u64 whose unsigned order equals `f64::total_cmp`
 /// order (sign-magnitude flip).
@@ -221,54 +234,47 @@ impl FlatTree {
     /// Accumulate this tree's leaf value for every row of a contiguous
     /// row-major block (`block.len() == acc.len() * p`) into `acc`.
     ///
-    /// Rows are walked in small interleaved groups so the CPU overlaps
-    /// the dependent node-load chains of independent rows; rows that
-    /// have landed just re-read their (cached) leaf node until the
-    /// group finishes. Each row's final leaf value is identical to
-    /// [`Self::traverse`], so accumulation order — and therefore every
-    /// bit — matches the row-at-a-time path.
+    /// Rows walk in lockstep groups of [`LOCKSTEP_ROWS`] for exactly
+    /// `depth` steps, with no early exit and no data-dependent branch:
+    /// each step picks the next node with
+    /// [`std::hint::select_unpredictable`], and a row that has reached
+    /// its leaf stays there (a leaf reads column 0, then re-selects its
+    /// own index). The group's independent node-load chains overlap,
+    /// and the per-level split mispredict of a branchy walk is gone. A
+    /// short last group repeats its final row in the spare lanes and
+    /// discards them. Each row lands on the leaf [`Self::traverse`]
+    /// reaches (`NaN <= t` is false, so both send NaN right), and
+    /// values are added tree by tree as before, so every bit matches
+    /// the row-at-a-time path.
     pub(crate) fn accumulate_block(&self, block: &[f64], p: usize, acc: &mut [f64]) {
-        const G: usize = 4;
+        use std::hint::select_unpredictable;
+        const G: usize = LOCKSTEP_ROWS;
         let meta = &self.meta[..];
-        let thresh = &self.thresh[..];
-        let full = acc.len() - acc.len() % G;
-        let mut r = 0;
-        while r < full {
-            let rows: [&[f64]; G] = [
-                &block[r * p..(r + 1) * p],
-                &block[(r + 1) * p..(r + 2) * p],
-                &block[(r + 2) * p..(r + 3) * p],
-                &block[(r + 3) * p..(r + 4) * p],
-            ];
+        // Sliced to `meta`'s length, so a node visit costs one bounds
+        // check, not two (measured ~10% of the walk).
+        let thresh = &self.thresh[..meta.len()];
+        for (group, acc) in acc.chunks_mut(G).enumerate() {
+            let r0 = group * G;
+            let last = acc.len() - 1;
+            let base: [usize; G] = std::array::from_fn(|g| (r0 + g.min(last)) * p);
             let mut cur = [0usize; G];
-            loop {
-                let mut live = false;
+            for _ in 0..self.depth {
                 for g in 0..G {
                     let i = cur[g];
                     let m = meta[i];
-                    let f = m as u32;
-                    // Predictable until the leaf: rows that have landed
-                    // just re-read their (cached) leaf node.
-                    if f != LEAF {
-                        live = true;
-                        cur[g] = if rows[g][f as usize] <= thresh[i] {
-                            i + 1
-                        } else {
-                            (m >> 32) as usize
-                        };
-                    }
-                }
-                if !live {
-                    break;
+                    let leaf = m as u32 == LEAF;
+                    let col = select_unpredictable(leaf, 0, m as u32 as usize);
+                    let next = select_unpredictable(
+                        block[base[g] + col] <= thresh[i],
+                        i + 1,
+                        (m >> 32) as usize,
+                    );
+                    cur[g] = select_unpredictable(leaf, i, next);
                 }
             }
-            for g in 0..G {
-                acc[r + g] += thresh[cur[g]];
+            for (slot, &i) in acc.iter_mut().zip(&cur) {
+                *slot += thresh[i];
             }
-            r += G;
-        }
-        for (row, slot) in acc.iter_mut().enumerate().skip(full) {
-            *slot += self.traverse(&block[row * p..(row + 1) * p]);
         }
     }
 
@@ -287,20 +293,22 @@ impl FlatTree {
         self.n_features
     }
 
-    /// Assemble from pre-built arenas (the binned trainer grows its
-    /// arenas outside [`Grow`]). `meta`/`thresh` must follow this
+    /// Assemble from grown arenas. `meta`/`thresh` must follow this
     /// type's pre-order layout: left child at `i + 1`, feature ==
-    /// [`LEAF`] marking leaves whose `thresh` is the leaf value.
+    /// [`LEAF`] marking leaves whose `thresh` is the leaf value. Both
+    /// are copied to their exact length: the growers reserve `2 * n`
+    /// slots, and a fitted tree lives as long as its model, so the
+    /// slack would be held for the model's lifetime.
     pub(crate) fn from_parts(
-        meta: Vec<u64>,
-        thresh: Vec<f64>,
+        meta: &[u64],
+        thresh: &[f64],
         n_features: usize,
         importances: Vec<f64>,
         depth: usize,
     ) -> FlatTree {
         FlatTree {
-            meta,
-            thresh,
+            meta: meta.to_vec(),
+            thresh: thresh.to_vec(),
             n_features,
             importances,
             depth,
@@ -374,7 +382,7 @@ enum SeedNode {
 }
 
 /// A fitted tree in the seed's enum-arena layout with the seed's
-/// per-row shape check. See [`FlatTree::to_seed_layout`].
+/// per-row shape check. See `FlatTree::to_seed_layout`.
 #[derive(Debug, Clone)]
 pub struct SeedLayoutTree {
     nodes: Vec<SeedNode>,
@@ -842,13 +850,7 @@ impl<'a, C: Criterion> Grow<'a, C> {
             _criterion: std::marker::PhantomData,
         };
         b.grow(0, n, 0, None);
-        FlatTree {
-            meta: b.meta,
-            thresh: b.thresh,
-            n_features: p,
-            importances: b.importances,
-            depth: b.max_depth_seen,
-        }
+        FlatTree::from_parts(&b.meta, &b.thresh, p, b.importances, b.max_depth_seen)
     }
 
     fn push_leaf(&mut self, value: f64) -> u32 {
@@ -1596,6 +1598,68 @@ mod tests {
         ];
         let y = vec![0, 1, 1, 0, 0, 1, 1, 0];
         (Matrix::from_rows(&rows).unwrap(), y)
+    }
+
+    /// Hand-built trees of every shape the lockstep walk must handle:
+    /// a lone leaf, a stump, and left- and right-leaning chains.
+    fn shaped_trees() -> Vec<FlatTree> {
+        const D: usize = 6;
+        let split = |feature: u64, right: usize| (right as u64) << 32 | feature;
+        let leaf = u64::from(LEAF);
+        let cuts = [0.0, 0.5, f64::INFINITY, -0.25, 1.5, f64::NEG_INFINITY];
+        let imp = vec![0.0; 3];
+        let mut trees = vec![
+            FlatTree::from_parts(&[leaf], &[2.5], 3, imp.clone(), 0),
+            FlatTree::from_parts(
+                &[split(1, 2), leaf, leaf],
+                &[0.5, -1.0, 1.0],
+                3,
+                imp.clone(),
+                1,
+            ),
+        ];
+        // Left chain: splits 0..D, the deepest leaf at D, then the
+        // right leaves of splits D-1, ..., 0.
+        let mut meta: Vec<u64> = (0..D).map(|k| split(k as u64 % 3, 2 * D - k)).collect();
+        let mut thresh = cuts[..D].to_vec();
+        meta.extend(std::iter::repeat_n(leaf, D + 1));
+        thresh.extend((0..=D).map(|k| k as f64 + 0.125));
+        trees.push(FlatTree::from_parts(&meta, &thresh, 3, imp.clone(), D));
+        // Right chain: split 2k has its left leaf at 2k+1 and continues
+        // right at 2k+2; the last node is a leaf.
+        let (mut meta, mut thresh) = (Vec::new(), Vec::new());
+        for k in 0..D {
+            meta.extend([split((k as u64 + 1) % 3, 2 * k + 2), leaf]);
+            thresh.extend([cuts[D - 1 - k], -(k as f64) - 0.5]);
+        }
+        meta.push(leaf);
+        thresh.push(99.0);
+        trees.push(FlatTree::from_parts(&meta, &thresh, 3, imp, D));
+        trees
+    }
+
+    #[test]
+    fn lockstep_walk_lands_where_traverse_does() {
+        let specials = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            0.0,
+            0.5,
+            1.0,
+        ];
+        let block: Vec<f64> = (0..40 * 3).map(|i| specials[(i * 5 + i / 7) % 7]).collect();
+        for tree in shaped_trees() {
+            for n in 0..=40 {
+                let mut acc: Vec<f64> = (0..n).map(|r| r as f64 * 0.25).collect();
+                tree.accumulate_block(&block[..n * 3], 3, &mut acc);
+                for (r, got) in acc.iter().enumerate() {
+                    let want = r as f64 * 0.25 + tree.traverse(&block[r * 3..(r + 1) * 3]);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{n} rows, row {r}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1461,8 +1461,8 @@ mod tests {
             train_reply(&engine, sessions[0]),
             ("random_forest".into(), false)
         );
-        assert_eq!(train_reply(&engine, sessions[1]).1, true);
-        assert_eq!(train_reply(&engine, sessions[2]).1, true);
+        assert!(train_reply(&engine, sessions[1]).1);
+        assert!(train_reply(&engine, sessions[2]).1);
         let Ok(Response::ModelStoreStats(stats)) = engine.handle(Request::ModelStoreStats) else {
             panic!("expected ModelStoreStats");
         };

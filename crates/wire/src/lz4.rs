@@ -15,7 +15,7 @@
 //! The final sequence carries literals only (no offset/match). Matches
 //! are found with a greedy hash-chain searcher: a 15-bit hash of every
 //! 4-byte prefix heads a per-position chain, and the longest of the
-//! first [`MAX_PROBES`] candidates within the 64 KiB offset window
+//! first `MAX_PROBES` candidates within the 64 KiB offset window
 //! wins. The decompressor is fully bounds-checked — corrupt input
 //! yields a typed [`WireError`], never a panic or out-of-bounds copy —
 //! and round-trips are byte-exact (pinned by `tests/wire_roundtrip.rs`).

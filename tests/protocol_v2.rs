@@ -448,6 +448,49 @@ fn v3_connections_recover_from_mid_stream_garbage() {
     handle.join().unwrap();
 }
 
+/// One line of 200,000 `[` used to recurse the JSON parser off the end
+/// of the connection thread's stack, which aborts the whole process
+/// before any session exists. It is now a typed `BadRequest` on v1/v2
+/// lines and inside v3 frames alike, and the server keeps serving.
+#[test]
+fn hostile_json_nesting_is_a_bad_request_not_a_crash() {
+    let (addr, handle) = serve("127.0.0.1:0").expect("bind");
+    let hostile = "[".repeat(200_000);
+
+    let mut client = Client::connect(addr).unwrap();
+    for line in [hostile.clone(), format!("{{\"id\": 3, \"body\": {hostile}")] {
+        let reply = client.send_raw(&line).unwrap();
+        let v1: Response = serde_json::from_str(&reply).unwrap();
+        let error = v1.as_error().expect("a typed error");
+        assert_eq!(error.code, ErrorCode::BadRequest);
+        assert!(error.message.contains("nesting"), "{}", error.message);
+    }
+
+    let mut v3 = V3Client::connect(addr).unwrap();
+    v3.send(&WireRequest {
+        id: 4,
+        deadline_ms: 0,
+        body: RequestBody::Json(hostile),
+    })
+    .unwrap();
+    let FrameEvent::Frame(frame) = v3.read_event().unwrap() else {
+        panic!("expected a reply frame");
+    };
+    let ReplyBody::Json(line) = WireReply::decode(&frame.payload).unwrap().body else {
+        panic!("expected a JSON reply body");
+    };
+    let v1: Response = serde_json::from_str(&line).unwrap();
+    assert_eq!(v1.as_error().unwrap().code, ErrorCode::BadRequest);
+
+    // Health check: the same connections and a fresh one all answer.
+    assert!(!client.call_v2(5, Request::ListUseCases).unwrap().is_error());
+    assert!(!v3.call_json(6, &Request::ListUseCases).unwrap().is_error());
+    let mut fresh = Client::connect(addr).unwrap();
+    assert!(!fresh.call_v2(7, Request::ListUseCases).unwrap().is_error());
+    fresh.call(&Request::Shutdown).unwrap();
+    handle.join().unwrap();
+}
+
 /// The session lifecycle end to end: record a scenario from a
 /// sensitivity outcome, list it, close the session, then every
 /// subsequent request on the closed id fails with the
