@@ -1,11 +1,9 @@
-//! Frame-op throughput: filter / group-by / derive on the deal-closing
-//! table (the slicing/dicing path under every interactive view).
+//! Frame-op throughput: the row-major feature matrix the model layer
+//! reads from the deal-closing table.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 use whatif_datagen::deal_closing;
-use whatif_frame::expr::Expr;
-use whatif_frame::{AggSpec, Aggregation};
 
 fn bench_frame(c: &mut Criterion) {
     let mut group = c.benchmark_group("frame");
@@ -15,29 +13,6 @@ fn bench_frame(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(1));
     for &n in &[1_000usize, 10_000] {
         let frame = deal_closing(n, 7).frame;
-        group.bench_with_input(BenchmarkId::new("filter_expr", n), &frame, |b, f| {
-            let predicate = Expr::col("Call").gt(Expr::lit_f64(4.0));
-            b.iter(|| f.filter_expr(&predicate).expect("valid predicate"))
-        });
-        group.bench_with_input(BenchmarkId::new("group_by", n), &frame, |b, f| {
-            b.iter(|| {
-                f.group_by(
-                    &["Account Industry"],
-                    &[AggSpec::new("Call", Aggregation::Mean)],
-                )
-                .expect("valid group by")
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("derive", n), &frame, |b, f| {
-            let expr = Expr::col("Call")
-                .add(Expr::col("Chat"))
-                .gt(Expr::lit_f64(10.0));
-            b.iter(|| {
-                let mut f2 = f.clone();
-                f2.derive("engaged", &expr).expect("valid expr");
-                f2
-            })
-        });
         group.bench_with_input(BenchmarkId::new("numeric_matrix", n), &frame, |b, f| {
             b.iter(|| {
                 f.numeric_matrix(&["Call", "Chat", "Demo", "Renewal"])

@@ -5,34 +5,36 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
 use whatif_core::model_backend::ModelConfig;
 use whatif_core::perturbation::Perturbation;
-use whatif_server::{Envelope, Request, Response, ServerState, UseCase};
+use whatif_server::{Engine, Envelope, Request, Response, UseCase};
 
-fn prepared_state() -> (ServerState, u64) {
-    let state = ServerState::new();
-    let session = match state.handle(Request::LoadUseCase {
+fn prepared_engine() -> (Engine, u64) {
+    let engine = Engine::new();
+    let session = match engine.handle(Request::LoadUseCase {
         use_case: UseCase::DealClosing,
         n_rows: Some(320),
         seed: Some(7),
     }) {
-        Response::SessionCreated { session, .. } => session,
+        Ok(Response::SessionCreated { session, .. }) => session,
         other => panic!("unexpected: {other:?}"),
     };
-    state.handle(Request::SelectKpi {
-        session,
-        kpi: "Deal Closed?".into(),
-    });
+    engine
+        .handle(Request::SelectKpi {
+            session,
+            kpi: "Deal Closed?".into(),
+        })
+        .expect("select KPI");
     let cfg = ModelConfig {
         n_trees: 24,
         max_depth: 8,
         ..ModelConfig::default()
     };
-    assert!(!state
+    engine
         .handle(Request::Train {
             session,
             config: Some(cfg),
         })
-        .is_error());
-    (state, session)
+        .expect("train");
+    (engine, session)
 }
 
 fn bench_server(c: &mut Criterion) {
@@ -41,11 +43,11 @@ fn bench_server(c: &mut Criterion) {
         .sample_size(20)
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(1));
-    let (state, session) = prepared_state();
+    let (engine, session) = prepared_engine();
 
     group.bench_function("table_view_50", |b| {
         b.iter(|| {
-            state.handle(Request::TableView {
+            engine.handle(Request::TableView {
                 session,
                 max_rows: 50,
             })
@@ -53,7 +55,7 @@ fn bench_server(c: &mut Criterion) {
     });
     group.bench_function("importance_view", |b| {
         b.iter(|| {
-            state.handle(Request::DriverImportanceView {
+            engine.handle(Request::DriverImportanceView {
                 session,
                 verify: false,
             })
@@ -61,7 +63,7 @@ fn bench_server(c: &mut Criterion) {
     });
     group.bench_function("sensitivity_view", |b| {
         b.iter(|| {
-            state.handle(Request::SensitivityView {
+            engine.handle(Request::SensitivityView {
                 session,
                 perturbations: vec![Perturbation::percentage("Open Marketing Email", 40.0)],
             })
@@ -70,10 +72,12 @@ fn bench_server(c: &mut Criterion) {
     group.bench_function("sensitivity_json_roundtrip", |b| {
         // Include the JSON encode/decode the wire adds.
         b.iter(|| {
-            let resp = state.handle(Request::SensitivityView {
-                session,
-                perturbations: vec![Perturbation::percentage("Open Marketing Email", 40.0)],
-            });
+            let resp = engine
+                .handle(Request::SensitivityView {
+                    session,
+                    perturbations: vec![Perturbation::percentage("Open Marketing Email", 40.0)],
+                })
+                .expect("sensitivity");
             let json = serde_json::to_string(&resp).expect("encode");
             serde_json::from_str::<Response>(&json).expect("decode")
         })
@@ -98,14 +102,14 @@ fn bench_server(c: &mut Criterion) {
     group.bench_function("sensitivity_x8_v1_lines", |b| {
         b.iter(|| {
             for line in &v1_lines {
-                let (reply, _) = state.engine().dispatch_line(line);
+                let (reply, _) = engine.dispatch_line(line);
                 assert!(!reply.is_empty());
             }
         })
     });
     group.bench_function("sensitivity_x8_v2_batch", |b| {
         b.iter(|| {
-            let (reply, _) = state.engine().dispatch_line(&v2_line);
+            let (reply, _) = engine.dispatch_line(&v2_line);
             assert!(!reply.is_empty());
         })
     });

@@ -645,7 +645,8 @@ pub struct TrainBenchReport {
     /// `regressor_reference_ms / regressor_presorted_ms`.
     pub regressor_speedup: f64,
     /// Presorted-vs-binned rows at interactive-loop scales (20k and
-    /// 200k rows × 24 features; tree counts scaled down with size).
+    /// 200k rows × 24 features at full scale, 2k and 4k at quick scale;
+    /// tree counts scaled down with size).
     /// The binned tier is approximate — these rows measure the O(bins)
     /// split-scan win, not bit-identical output.
     #[serde(default)]
@@ -809,14 +810,18 @@ pub fn train_bench(scale: Scale, seed: u64) -> TrainBenchReport {
     let classifier_presorted_ms = totals[1] / reps as f64;
     let regressor_reference_ms = totals[2] / reps as f64;
     let regressor_presorted_ms = totals[3] / reps as f64;
-    // Binned-tier scaling rows: both interactive-loop scales. Tree
-    // counts shrink with row count (40 is well under the 100-tree
-    // default forest) so each row stays seconds of wall clock while
-    // still amortizing the one-time quantization the way real forests
-    // do.
+    // Binned-tier scaling rows: both interactive-loop scales at full
+    // scale, a few thousand rows at quick scale. Tree counts shrink with
+    // row count (40 is well under the 100-tree default forest) so each
+    // row stays seconds of wall clock while still amortizing the
+    // one-time quantization the way real forests do.
+    let (small_rows, large_rows) = match scale {
+        Scale::Full => (20_000, 200_000),
+        Scale::Quick => (2_000, 4_000),
+    };
     let binned = vec![
-        binned_train_row(20_000, 24, 40, 8, 3, seed),
-        binned_train_row(200_000, 24, 12, 8, 3, seed),
+        binned_train_row(small_rows, 24, 40, 8, 3, seed),
+        binned_train_row(large_rows, 24, 12, 8, 3, seed),
     ];
     TrainBenchReport {
         n_rows: x.n_rows(),

@@ -191,11 +191,6 @@ impl Column {
         &self.name
     }
 
-    /// Rename the column in place.
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
-    }
-
     /// The column's dtype.
     pub fn dtype(&self) -> DType {
         self.data.dtype()

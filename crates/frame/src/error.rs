@@ -37,8 +37,6 @@ pub enum FrameError {
         /// The number of rows available.
         n_rows: usize,
     },
-    /// Expression evaluation failed (type error, unknown column, ...).
-    Expr(String),
     /// CSV parsing failed.
     Csv {
         /// 1-based line number of the failure, when known.
@@ -46,8 +44,6 @@ pub enum FrameError {
         /// Description of the problem.
         message: String,
     },
-    /// Join or group-by failed, e.g. keys of unhashable type.
-    InvalidOperation(String),
 }
 
 impl fmt::Display for FrameError {
@@ -79,11 +75,9 @@ impl fmt::Display for FrameError {
                     "row index {row} out of bounds for frame with {n_rows} rows"
                 )
             }
-            FrameError::Expr(msg) => write!(f, "expression error: {msg}"),
             FrameError::Csv { line, message } => {
                 write!(f, "csv error at line {line}: {message}")
             }
-            FrameError::InvalidOperation(msg) => write!(f, "invalid operation: {msg}"),
         }
     }
 }
@@ -125,6 +119,6 @@ mod tests {
     #[test]
     fn error_implements_std_error() {
         fn takes_err(_e: &dyn std::error::Error) {}
-        takes_err(&FrameError::Expr("boom".into()));
+        takes_err(&FrameError::UnknownColumn("boom".into()));
     }
 }

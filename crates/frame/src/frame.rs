@@ -2,8 +2,7 @@
 
 use crate::column::Column;
 use crate::error::{FrameError, Result};
-use crate::expr::Expr;
-use crate::value::{DType, Value};
+use crate::value::DType;
 
 /// An in-memory table: an ordered collection of equal-length named columns.
 ///
@@ -84,17 +83,6 @@ impl Frame {
             .ok_or_else(|| FrameError::UnknownColumn(name.to_owned()))
     }
 
-    /// Mutably borrow a column by name.
-    ///
-    /// # Errors
-    /// [`FrameError::UnknownColumn`].
-    pub fn column_mut(&mut self, name: &str) -> Result<&mut Column> {
-        let i = self
-            .column_index(name)
-            .ok_or_else(|| FrameError::UnknownColumn(name.to_owned()))?;
-        Ok(&mut self.columns[i])
-    }
-
     /// Append a column.
     ///
     /// The first column fixes the frame's row count; later columns must
@@ -119,54 +107,6 @@ impl Frame {
         Ok(())
     }
 
-    /// Replace an existing column (same name) or append a new one.
-    ///
-    /// # Errors
-    /// [`FrameError::LengthMismatch`] if the length disagrees.
-    pub fn set_column(&mut self, column: Column) -> Result<()> {
-        match self.column_index(column.name()) {
-            Some(i) => {
-                if !self.columns.is_empty() && column.len() != self.n_rows {
-                    return Err(FrameError::LengthMismatch {
-                        column: column.name().to_owned(),
-                        expected: self.n_rows,
-                        actual: column.len(),
-                    });
-                }
-                self.columns[i] = column;
-                Ok(())
-            }
-            None => self.push_column(column),
-        }
-    }
-
-    /// Remove and return a column.
-    ///
-    /// # Errors
-    /// [`FrameError::UnknownColumn`].
-    pub fn remove_column(&mut self, name: &str) -> Result<Column> {
-        let i = self
-            .column_index(name)
-            .ok_or_else(|| FrameError::UnknownColumn(name.to_owned()))?;
-        let col = self.columns.remove(i);
-        if self.columns.is_empty() {
-            self.n_rows = 0;
-        }
-        Ok(col)
-    }
-
-    /// Rename a column.
-    ///
-    /// # Errors
-    /// [`FrameError::UnknownColumn`] / [`FrameError::DuplicateColumn`].
-    pub fn rename_column(&mut self, old: &str, new: &str) -> Result<()> {
-        if old != new && self.has_column(new) {
-            return Err(FrameError::DuplicateColumn(new.to_owned()));
-        }
-        self.column_mut(old)?.set_name(new);
-        Ok(())
-    }
-
     /// New frame containing only the named columns, in the given order.
     ///
     /// # Errors
@@ -181,42 +121,6 @@ impl Frame {
             out.n_rows = self.n_rows;
         }
         Ok(out)
-    }
-
-    /// New frame without the named columns (unknown names are errors).
-    ///
-    /// # Errors
-    /// [`FrameError::UnknownColumn`].
-    pub fn drop_columns(&self, names: &[&str]) -> Result<Frame> {
-        for &n in names {
-            if !self.has_column(n) {
-                return Err(FrameError::UnknownColumn(n.to_owned()));
-            }
-        }
-        let keep: Vec<&str> = self
-            .columns
-            .iter()
-            .map(Column::name)
-            .filter(|n| !names.contains(n))
-            .collect();
-        self.select(&keep)
-    }
-
-    /// Fetch a row as `(name, value)` pairs.
-    ///
-    /// # Errors
-    /// [`FrameError::RowOutOfBounds`].
-    pub fn row(&self, i: usize) -> Result<Vec<(String, Value)>> {
-        if i >= self.n_rows {
-            return Err(FrameError::RowOutOfBounds {
-                row: i,
-                n_rows: self.n_rows,
-            });
-        }
-        self.columns
-            .iter()
-            .map(|c| Ok((c.name().to_owned(), c.get(i)?)))
-            .collect()
     }
 
     /// Select rows by index across all columns (repeats/reorders allowed).
@@ -254,16 +158,6 @@ impl Frame {
         self.take(&indices)
     }
 
-    /// Keep rows where the boolean expression evaluates to true
-    /// (nulls are treated as false).
-    ///
-    /// # Errors
-    /// [`FrameError::Expr`] if the expression is not boolean-typed.
-    pub fn filter_expr(&self, predicate: &Expr) -> Result<Frame> {
-        let mask = predicate.eval_bool_mask(self)?;
-        self.filter(&mask)
-    }
-
     /// Contiguous row slice `[start, end)`, clamped.
     pub fn slice(&self, start: usize, end: usize) -> Frame {
         let mut out = Frame::new();
@@ -277,38 +171,6 @@ impl Frame {
     /// First `n` rows.
     pub fn head(&self, n: usize) -> Frame {
         self.slice(0, n)
-    }
-
-    /// Evaluate an expression and attach (or replace) the result as a column.
-    ///
-    /// This is the "hypothesis formula" mechanism from the paper's retention
-    /// use case (derived drivers such as *"3+ formulas in two weeks"*).
-    ///
-    /// # Errors
-    /// [`FrameError::Expr`] on evaluation failure.
-    pub fn derive(&mut self, name: &str, expr: &Expr) -> Result<()> {
-        let mut col = expr.eval(self)?;
-        col.set_name(name);
-        self.set_column(col)
-    }
-
-    /// Append the rows of `other`. Schemas (names and dtypes, in order)
-    /// must match exactly.
-    ///
-    /// # Errors
-    /// [`FrameError::InvalidOperation`] on schema mismatch.
-    pub fn vstack(&self, other: &Frame) -> Result<Frame> {
-        if self.column_names() != other.column_names() || self.dtypes() != other.dtypes() {
-            return Err(FrameError::InvalidOperation(
-                "vstack requires identical schemas".to_owned(),
-            ));
-        }
-        let mut out = Frame::new();
-        for (a, b) in self.columns.iter().zip(other.columns.iter()) {
-            let values: Vec<Value> = a.iter().chain(b.iter()).collect();
-            out.push_column(Column::from_values(a.name(), &values)?)?;
-        }
-        Ok(out)
     }
 
     /// Extract the named numeric columns as a row-major matrix
@@ -406,29 +268,16 @@ mod tests {
     }
 
     #[test]
-    fn select_and_drop() {
+    fn select_projects_columns_in_order() {
         let f = sample();
         let sel = f.select(&["s", "x"]).unwrap();
         assert_eq!(sel.column_names(), vec!["s", "x"]);
         assert_eq!(sel.n_rows(), 4);
         assert!(f.select(&["nope"]).is_err());
 
-        let d = f.drop_columns(&["k"]).unwrap();
-        assert_eq!(d.column_names(), vec!["x", "s"]);
-        assert!(f.drop_columns(&["nope"]).is_err());
-
         let empty_sel = f.select(&[]).unwrap();
         assert_eq!(empty_sel.n_cols(), 0);
         assert_eq!(empty_sel.n_rows(), 4, "projection keeps row count");
-    }
-
-    #[test]
-    fn row_access() {
-        let f = sample();
-        let row = f.row(1).unwrap();
-        assert_eq!(row[0], ("x".to_owned(), Value::Float(2.0)));
-        assert_eq!(row[2], ("s".to_owned(), Value::Str("b".into())));
-        assert!(f.row(4).is_err());
     }
 
     #[test]
@@ -444,51 +293,6 @@ mod tests {
         assert_eq!(f.slice(1, 3).n_rows(), 2);
         assert_eq!(f.head(2).n_rows(), 2);
         assert_eq!(f.head(99).n_rows(), 4);
-    }
-
-    #[test]
-    fn set_remove_rename() {
-        let mut f = sample();
-        f.set_column(Column::from_f64("x", vec![9.0, 8.0, 7.0, 6.0]))
-            .unwrap();
-        assert_eq!(f.column("x").unwrap().f64_values().unwrap()[0], 9.0);
-        assert!(f.set_column(Column::from_f64("x", vec![1.0])).is_err());
-
-        f.rename_column("x", "xx").unwrap();
-        assert!(f.has_column("xx"));
-        assert!(f.rename_column("xx", "k").is_err());
-        assert!(f.rename_column("ghost", "g").is_err());
-
-        let c = f.remove_column("xx").unwrap();
-        assert_eq!(c.name(), "xx");
-        assert_eq!(f.n_cols(), 2);
-        assert!(f.remove_column("xx").is_err());
-    }
-
-    #[test]
-    fn removing_last_column_resets_rows() {
-        let mut f = Frame::from_columns(vec![Column::from_f64("x", vec![1.0, 2.0])]).unwrap();
-        f.remove_column("x").unwrap();
-        assert_eq!(f.n_rows(), 0);
-        // New column of different length is now acceptable.
-        f.push_column(Column::from_f64("y", vec![1.0, 2.0, 3.0]))
-            .unwrap();
-        assert_eq!(f.n_rows(), 3);
-    }
-
-    #[test]
-    fn vstack_appends_rows() {
-        let a = sample();
-        let b = sample();
-        let v = a.vstack(&b).unwrap();
-        assert_eq!(v.n_rows(), 8);
-        assert_eq!(
-            v.column("s").unwrap().get(4).unwrap(),
-            Value::Str("a".into())
-        );
-
-        let mismatched = Frame::from_columns(vec![Column::from_f64("x", vec![1.0])]).unwrap();
-        assert!(a.vstack(&mismatched).is_err());
     }
 
     #[test]

@@ -3,56 +3,46 @@
 //! A from-scratch, in-memory **columnar dataframe** substrate for the
 //! SystemD what-if analysis reproduction (CIDR 2022).
 //!
-//! The paper's backend slices, dices, perturbs, and re-evaluates business
-//! datasets interactively. This crate provides the tabular layer those
-//! operations run on:
+//! The paper's backend loads business datasets, perturbs driver columns
+//! and re-evaluates models over them interactively. This crate provides
+//! the tabular layer those operations run on:
 //!
 //! * [`Frame`] — a named collection of equal-length [`Column`]s.
 //! * [`Column`] — typed storage (`f64`, `i64`, `bool`, `String`) with an
 //!   optional validity mask for nulls.
-//! * [`expr::Expr`] — a small expression AST for derived columns and filter
-//!   predicates (the "hypothesis formulas" of the paper's retention use
-//!   case, e.g. *"used 3+ formulas in two weeks"*).
 //! * [`csv`] — RFC-4180-ish CSV reader/writer with type inference.
-//! * [`groupby`] / [`join`] — the slicing/dicing operations the paper's
-//!   intro motivates.
+//! * [`Frame::numeric_matrix`] — the row-major hand-off to the model layer.
 //!
 //! ## Quick example
 //!
 //! ```
-//! use whatif_frame::{Frame, Column};
-//! use whatif_frame::expr::Expr;
+//! use whatif_frame::csv::{parse_csv, write_csv};
+//! use whatif_frame::{Frame, Column, Value};
 //!
 //! let mut f = Frame::new();
-//! f.push_column(Column::from_f64("spend", vec![10.0, 20.0, 30.0])).unwrap();
-//! f.push_column(Column::from_f64("sales", vec![100.0, 180.0, 260.0])).unwrap();
+//! f.push_column(Column::from_f64("spend", vec![12.5, 20.0, 30.0])).unwrap();
+//! f.push_column(Column::from_i64("sales", vec![100, 180, 260])).unwrap();
 //!
-//! // Derived column: ROI = sales / spend
-//! let roi = Expr::col("sales").div(Expr::col("spend"));
-//! f.derive("roi", &roi).unwrap();
-//! assert_eq!(f.column("roi").unwrap().f64_values().unwrap(), &[10.0, 9.0, 26.0 / 3.0]);
+//! // Row-major features for the model layer; ints coerce to floats.
+//! let m = f.numeric_matrix(&["spend", "sales"]).unwrap();
+//! assert_eq!(m, vec![12.5, 100.0, 20.0, 180.0, 30.0, 260.0]);
 //!
-//! // Filter: spend > 15
-//! let big = f.filter_expr(&Expr::col("spend").gt(Expr::lit_f64(15.0))).unwrap();
-//! assert_eq!(big.n_rows(), 2);
+//! // CSV round trip keeps names, types and values.
+//! let back = parse_csv(&write_csv(&f)).unwrap();
+//! assert_eq!(back, f);
+//! assert_eq!(back.column("sales").unwrap().get(2).unwrap(), Value::Int(260));
+//!
+//! // Projection and row windows, as the table view uses them.
+//! assert_eq!(f.select(&["sales"]).unwrap().head(2).n_rows(), 2);
 //! ```
 
 pub mod column;
 pub mod csv;
 pub mod error;
-pub mod expr;
 pub mod frame;
-pub mod groupby;
-pub mod join;
-pub mod sort;
-pub mod summary;
 pub mod value;
 
 pub use column::{Column, ColumnData};
 pub use error::{FrameError, Result};
 pub use frame::Frame;
-pub use groupby::{AggSpec, Aggregation};
-pub use join::JoinKind;
-pub use sort::SortOrder;
-pub use summary::ColumnSummary;
 pub use value::{DType, Value};

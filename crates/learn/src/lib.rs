@@ -39,8 +39,6 @@
 //! * [`metrics`] — accuracy, F1, ROC-AUC, log-loss, R², RMSE, ...
 //! * [`shapley`] — Monte-Carlo permutation Shapley values (one of the
 //!   paper's three verification measures).
-//! * [`permutation`] — permutation importance.
-//! * [`preprocess`] — standard / min-max scalers.
 //! * [`split`] — train/test split and k-fold cross-validation.
 
 pub mod binned;
@@ -51,9 +49,6 @@ pub mod logistic;
 pub mod metrics;
 pub mod model;
 pub mod overlay;
-pub mod pdp;
-pub mod permutation;
-pub mod preprocess;
 pub mod shapley;
 pub mod split;
 pub mod tree;

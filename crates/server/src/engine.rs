@@ -6,9 +6,8 @@
 //!
 //! * the TCP layer (`crate::tcp`), which feeds it wire lines via
 //!   [`Engine::dispatch_line`],
-//! * in-process callers and tests via [`Engine::handle`] /
-//!   [`Engine::handle_envelope`],
-//! * the legacy [`crate::handlers::ServerState`] adapter.
+//! * in-process callers, benches and tests via [`Engine::handle`] /
+//!   [`Engine::handle_envelope`].
 //!
 //! Analysis variants delegate to
 //! [`whatif_core::spec::AnalysisSpec::execute`], so the declarative

@@ -1,59 +1,26 @@
-//! Legacy single-type dispatcher, now a thin adapter over
-//! [`crate::engine::Engine`].
-//!
-//! `ServerState` predates the v2 protocol: it answers every request
-//! with a bare [`Response`], folding typed failures into
-//! [`Response::Error`]. New code should use [`Engine`] directly; this
-//! adapter keeps the seed-era API (`ServerState::handle`) compiling for
-//! in-process callers, benches, and tests.
-
-use crate::engine::Engine;
-use crate::protocol::{Request, Response};
-
-/// Thread-safe v1-style server state over the concurrent engine.
-#[derive(Default)]
-pub struct ServerState {
-    engine: Engine,
-}
-
-impl ServerState {
-    /// Fresh state with no sessions.
-    pub fn new() -> ServerState {
-        ServerState::default()
-    }
-
-    /// The underlying engine facade.
-    pub fn engine(&self) -> &Engine {
-        &self.engine
-    }
-
-    /// Number of live sessions.
-    pub fn session_count(&self) -> usize {
-        self.engine.session_count()
-    }
-
-    /// Dispatch one request, v1 style: failures become
-    /// [`Response::Error`] (which still carries the typed code).
-    pub fn handle(&self, request: Request) -> Response {
-        self.engine.handle(request).unwrap_or_else(Response::Error)
-    }
-}
+//! Whole user journeys through [`Engine::handle`](crate::Engine::handle):
+//! loading a use case or a CSV, choosing the KPI and drivers, training,
+//! and the analysis views of the paper's interface, checked response by
+//! response as a front end would render them.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::protocol::UseCase;
+    use crate::protocol::{Request, Response, UseCase};
+    use crate::Engine;
     use whatif_core::goal::Goal;
     use whatif_core::model_backend::ModelConfig;
     use whatif_core::perturbation::Perturbation;
+    use whatif_core::ErrorCode;
 
-    fn small_deal_session(state: &ServerState) -> u64 {
-        let resp = state.handle(Request::LoadUseCase {
-            use_case: UseCase::DealClosing,
-            n_rows: Some(220),
-            seed: Some(3),
-        });
-        match resp {
+    fn small_deal_session(engine: &Engine) -> u64 {
+        match engine
+            .handle(Request::LoadUseCase {
+                use_case: UseCase::DealClosing,
+                n_rows: Some(220),
+                seed: Some(3),
+            })
+            .unwrap()
+        {
             Response::SessionCreated {
                 session,
                 n_rows,
@@ -79,8 +46,8 @@ mod tests {
 
     #[test]
     fn list_use_cases() {
-        let state = ServerState::new();
-        match state.handle(Request::ListUseCases) {
+        let engine = Engine::new();
+        match engine.handle(Request::ListUseCases).unwrap() {
             Response::UseCases(u) => assert_eq!(u.len(), 3),
             other => panic!("unexpected: {other:?}"),
         }
@@ -88,15 +55,18 @@ mod tests {
 
     #[test]
     fn full_deal_closing_flow() {
-        let state = ServerState::new();
-        let id = small_deal_session(&state);
-        assert_eq!(state.session_count(), 1);
+        let engine = Engine::new();
+        let id = small_deal_session(&engine);
+        assert_eq!(engine.session_count(), 1);
 
         // Table view (B).
-        match state.handle(Request::TableView {
-            session: id,
-            max_rows: 5,
-        }) {
+        match engine
+            .handle(Request::TableView {
+                session: id,
+                max_rows: 5,
+            })
+            .unwrap()
+        {
             Response::Table {
                 rows, total_rows, ..
             } => {
@@ -107,17 +77,23 @@ mod tests {
         }
 
         // KPI (C) + drivers (D).
-        match state.handle(Request::SelectKpi {
-            session: id,
-            kpi: "Deal Closed?".into(),
-        }) {
+        match engine
+            .handle(Request::SelectKpi {
+                session: id,
+                kpi: "Deal Closed?".into(),
+            })
+            .unwrap()
+        {
             Response::KpiSelected { kind, .. } => assert_eq!(kind, "binary"),
             other => panic!("unexpected: {other:?}"),
         }
-        match state.handle(Request::SelectDrivers {
-            session: id,
-            drivers: None,
-        }) {
+        match engine
+            .handle(Request::SelectDrivers {
+                session: id,
+                drivers: None,
+            })
+            .unwrap()
+        {
             Response::Drivers { selected } => {
                 assert_eq!(selected.len(), 12);
                 assert!(!selected.contains(&"Account Name".to_owned()));
@@ -126,10 +102,13 @@ mod tests {
         }
 
         // Train.
-        match state.handle(Request::Train {
-            session: id,
-            config: Some(fast_config()),
-        }) {
+        match engine
+            .handle(Request::Train {
+                session: id,
+                config: Some(fast_config()),
+            })
+            .unwrap()
+        {
             Response::Trained {
                 kind, baseline_kpi, ..
             } => {
@@ -140,10 +119,13 @@ mod tests {
         }
 
         // Importance (E).
-        match state.handle(Request::DriverImportanceView {
-            session: id,
-            verify: false,
-        }) {
+        match engine
+            .handle(Request::DriverImportanceView {
+                session: id,
+                verify: false,
+            })
+            .unwrap()
+        {
             Response::Importance { importance, .. } => {
                 assert_eq!(importance.driver_names.len(), 12)
             }
@@ -151,33 +133,42 @@ mod tests {
         }
 
         // Sensitivity (H) + record scenario.
-        match state.handle(Request::SensitivityView {
-            session: id,
-            perturbations: vec![Perturbation::percentage("Open Marketing Email", 40.0)],
-        }) {
+        match engine
+            .handle(Request::SensitivityView {
+                session: id,
+                perturbations: vec![Perturbation::percentage("Open Marketing Email", 40.0)],
+            })
+            .unwrap()
+        {
             Response::Sensitivity(s) => assert_eq!(s.kpi_name, "Deal Closed?"),
             other => panic!("unexpected: {other:?}"),
         }
-        match state.handle(Request::RecordScenario {
-            session: id,
-            name: "ome +40%".into(),
-        }) {
+        match engine
+            .handle(Request::RecordScenario {
+                session: id,
+                name: "ome +40%".into(),
+            })
+            .unwrap()
+        {
             Response::ScenarioRecorded { id: sid } => assert_eq!(sid, 0),
             other => panic!("unexpected: {other:?}"),
         }
 
         // Goal inversion (I) with a constraint.
-        match state.handle(Request::GoalInversionView {
-            session: id,
-            goal: Goal::Maximize,
-            constraints: vec![whatif_core::DriverConstraint::new(
-                "Open Marketing Email",
-                40.0,
-                80.0,
-            )],
-            optimizer: Some(whatif_core::OptimizerChoice::RandomSearch { n_evals: 12 }),
-            seed: 1,
-        }) {
+        match engine
+            .handle(Request::GoalInversionView {
+                session: id,
+                goal: Goal::Maximize,
+                constraints: vec![whatif_core::DriverConstraint::new(
+                    "Open Marketing Email",
+                    40.0,
+                    80.0,
+                )],
+                optimizer: Some(whatif_core::OptimizerChoice::RandomSearch { n_evals: 12 }),
+                seed: 1,
+            })
+            .unwrap()
+        {
             Response::GoalInversion(g) => {
                 let ome = g
                     .driver_percentages
@@ -191,24 +182,27 @@ mod tests {
         }
 
         // Scenario listing.
-        match state.handle(Request::ListScenarios { session: id }) {
+        match engine
+            .handle(Request::ListScenarios { session: id })
+            .unwrap()
+        {
             Response::Scenarios(s) => assert_eq!(s.len(), 1),
             other => panic!("unexpected: {other:?}"),
         }
 
         // Close.
         assert_eq!(
-            state.handle(Request::CloseSession { session: id }),
-            Response::SessionClosed
+            engine.handle(Request::CloseSession { session: id }),
+            Ok(Response::SessionClosed)
         );
-        assert_eq!(state.session_count(), 0);
+        assert_eq!(engine.session_count(), 0);
     }
 
     #[test]
     fn csv_upload_flow() {
-        let state = ServerState::new();
+        let engine = Engine::new();
         let csv = "spend,sales\n1,10\n2,20\n3,30\n4,41\n5,50\n6,61\n7,70\n8,80\n";
-        let id = match state.handle(Request::LoadCsv { csv: csv.into() }) {
+        let id = match engine.handle(Request::LoadCsv { csv: csv.into() }).unwrap() {
             Response::SessionCreated {
                 session,
                 suggested_kpi,
@@ -219,93 +213,105 @@ mod tests {
             }
             other => panic!("unexpected: {other:?}"),
         };
-        state.handle(Request::SelectKpi {
-            session: id,
-            kpi: "sales".into(),
-        });
-        match state.handle(Request::Train {
-            session: id,
-            config: None,
-        }) {
+        engine
+            .handle(Request::SelectKpi {
+                session: id,
+                kpi: "sales".into(),
+            })
+            .unwrap();
+        match engine
+            .handle(Request::Train {
+                session: id,
+                config: None,
+            })
+            .unwrap()
+        {
             Response::Trained { kind, .. } => assert_eq!(kind, "linear"),
             other => panic!("unexpected: {other:?}"),
         }
         // Bad CSV errors.
-        assert!(state.handle(Request::LoadCsv { csv: "".into() }).is_error());
-    }
-
-    #[test]
-    fn errors_are_graceful() {
-        let state = ServerState::new();
-        assert!(state
-            .handle(Request::TableView {
-                session: 99,
-                max_rows: 1
-            })
-            .is_error());
-        let id = small_deal_session(&state);
-        // Analysis before training.
-        assert!(state
-            .handle(Request::DriverImportanceView {
-                session: id,
-                verify: false
-            })
-            .is_error());
-        // Training before KPI.
-        assert!(state
-            .handle(Request::Train {
-                session: id,
-                config: None
-            })
-            .is_error());
-        // Textual KPI.
-        assert!(state
-            .handle(Request::SelectKpi {
-                session: id,
-                kpi: "Account Name".into()
-            })
-            .is_error());
-        // Recording with no outcome.
-        assert!(state
-            .handle(Request::RecordScenario {
-                session: id,
-                name: "x".into()
-            })
-            .is_error());
-        // Unknown session close.
-        assert!(state
-            .handle(Request::CloseSession { session: 42 })
-            .is_error());
+        assert!(engine.handle(Request::LoadCsv { csv: "".into() }).is_err());
     }
 
     #[test]
     fn retraining_invalidates_on_selection_change() {
-        let state = ServerState::new();
-        let id = small_deal_session(&state);
-        state.handle(Request::SelectKpi {
-            session: id,
-            kpi: "Deal Closed?".into(),
-        });
-        state.handle(Request::Train {
-            session: id,
-            config: Some(fast_config()),
-        });
+        let engine = Engine::new();
+        let id = small_deal_session(&engine);
+        engine
+            .handle(Request::SelectKpi {
+                session: id,
+                kpi: "Deal Closed?".into(),
+            })
+            .unwrap();
+        engine
+            .handle(Request::Train {
+                session: id,
+                config: Some(fast_config()),
+            })
+            .unwrap();
         // Changing drivers drops the model.
-        state.handle(Request::SelectDrivers {
-            session: id,
-            drivers: Some(vec!["Call".into(), "Chat".into()]),
-        });
-        assert!(state
+        engine
+            .handle(Request::SelectDrivers {
+                session: id,
+                drivers: Some(vec!["Call".into(), "Chat".into()]),
+            })
+            .unwrap();
+        let err = engine
+            .handle(Request::DriverImportanceView {
+                session: id,
+                verify: false,
+            })
+            .unwrap_err();
+        assert_eq!(err.code, ErrorCode::NotTrained);
+    }
+
+    #[test]
+    fn errors_are_graceful() {
+        let engine = Engine::new();
+        assert!(engine
+            .handle(Request::TableView {
+                session: 99,
+                max_rows: 1
+            })
+            .is_err());
+        let id = small_deal_session(&engine);
+        // Analysis before training.
+        assert!(engine
             .handle(Request::DriverImportanceView {
                 session: id,
                 verify: false
             })
-            .is_error());
+            .is_err());
+        // Training before KPI.
+        assert!(engine
+            .handle(Request::Train {
+                session: id,
+                config: None
+            })
+            .is_err());
+        // Textual KPI.
+        assert!(engine
+            .handle(Request::SelectKpi {
+                session: id,
+                kpi: "Account Name".into()
+            })
+            .is_err());
+        // Recording with no outcome.
+        assert!(engine
+            .handle(Request::RecordScenario {
+                session: id,
+                name: "x".into()
+            })
+            .is_err());
+        // Unknown session close.
+        assert!(engine
+            .handle(Request::CloseSession { session: 42 })
+            .is_err());
     }
 
     #[test]
     fn shutdown_acknowledged() {
-        let state = ServerState::new();
-        assert_eq!(state.handle(Request::Shutdown), Response::ShuttingDown);
+        let engine = Engine::new();
+        assert_eq!(engine.handle(Request::Shutdown), Ok(Response::ShuttingDown));
     }
 }

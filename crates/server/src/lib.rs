@@ -18,7 +18,6 @@
 //! * [`obs`] — engine-side observability: pre-registered per-request
 //!   and per-stage instruments over `whatif-obs`, the slow-query log,
 //!   and the metrics snapshot served by `Request::MetricsSnapshot`.
-//! * [`handlers`] — the legacy v1-style [`ServerState`] adapter.
 //! * [`tcp`] — a thread-per-connection TCP server speaking
 //!   line-delimited JSON in both framings, plus a matching client. Each
 //!   connection's first byte routes it: the v3 frame magic (`0xB3`)
@@ -29,7 +28,8 @@
 //!   frames, and the matching [`V3Client`].
 
 pub mod engine;
-pub mod handlers;
+#[cfg(test)]
+mod handlers;
 pub mod obs;
 pub mod protocol;
 pub mod registry;
@@ -37,7 +37,6 @@ pub mod tcp;
 pub mod v3;
 
 pub use engine::Engine;
-pub use handlers::ServerState;
 pub use protocol::{
     ApiError, Envelope, Reply, Request, RequestKind, Response, UseCase, CURRENT_SESSION,
     PROTOCOL_VERSION,

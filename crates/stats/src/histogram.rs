@@ -1,10 +1,10 @@
-//! Equal-width histograms (backing data for the comparison-analysis view)
-//! and quantile bin assignment (backing the learn crate's binned trainer).
+//! Equal-width histograms, and quantile bin assignment (backing the learn
+//! crate's binned trainer).
 //!
 //! The two binning strategies are intentionally different and stay
-//! separate: [`Histogram`] uses **equal-width** bins because the
-//! comparison view plots value *ranges* on a linear axis, where uneven
-//! bin widths would distort the picture; [`quantile_run_bins`] produces
+//! separate: [`Histogram`] uses **equal-width** bins, which suit a plot
+//! of value *ranges* on a linear axis, where uneven bin widths would
+//! distort the picture; [`quantile_run_bins`] produces
 //! **equal-count** (quantile) bins because split finding wants roughly
 //! the same number of rows per bin — a skewed feature would otherwise
 //! dump most rows into a handful of wide bins and starve the split scan

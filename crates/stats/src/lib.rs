@@ -14,7 +14,9 @@
 //!   agreement metrics (Kendall tau, top-k overlap) used to *verify* that
 //!   different importance measures tell the same story.
 //! * [`describe`] — streaming mean/variance (Welford), moments.
-//! * [`quantile`](mod@quantile) — quantiles with linear interpolation, histograms.
+//! * [`quantile`](mod@quantile) — quantiles with linear interpolation.
+//! * [`histogram`] — equal-width histograms, and equal-count quantile bins
+//!   for the binned trainer.
 //! * [`sampling`] — seeded bootstrap / permutation / reservoir sampling.
 //! * [`distributions`] — normal/lognormal/Poisson samplers built on
 //!   `rand` uniforms (Box–Muller, Knuth), used by `whatif-datagen`.

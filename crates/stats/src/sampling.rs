@@ -2,7 +2,7 @@
 //! replacement, and reservoir sampling.
 //!
 //! Bootstrap resamples back the forest trainer and the robustness bench;
-//! permutations back Shapley estimation and permutation importance.
+//! permutations back Shapley estimation.
 
 use rand::seq::SliceRandom;
 use rand::Rng;

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use whatif::core::perturbation::{Perturbation, PerturbationSet};
 use whatif::frame::csv::{parse_csv, write_csv};
-use whatif::frame::{Column, Frame, SortOrder};
+use whatif::frame::{Column, Frame, FrameError};
 use whatif::learn::Matrix;
 use whatif::optim::objective::FnObjective;
 use whatif::optim::random_search::random_search;
@@ -26,16 +26,6 @@ proptest! {
         let filtered = frame.filter(&mask).unwrap();
         prop_assert!(filtered.n_rows() <= n);
         prop_assert_eq!(filtered.n_rows(), mask.iter().filter(|&&b| b).count());
-    }
-
-    #[test]
-    fn frame_sort_is_a_permutation(values in finite_vec(64)) {
-        let frame = Frame::from_columns(vec![Column::from_f64("x", values.clone())]).unwrap();
-        let sorted = frame.sort_by(&[("x", SortOrder::Ascending)]).unwrap();
-        let mut original = values;
-        original.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let got = sorted.column("x").unwrap().f64_values().unwrap().to_vec();
-        prop_assert_eq!(got, original);
     }
 
     #[test]
@@ -168,6 +158,36 @@ proptest! {
         let fitted = m.matvec(&beta).unwrap();
         for (f, t) in fitted.iter().zip(&y) {
             prop_assert!((f - t).abs() < 1e-6 * (1.0 + t.abs()));
+        }
+    }
+}
+
+/// Pieces `LoadCsv` text is built from: CSV structure (quotes, commas,
+/// both line endings), values of every inferred type, and non-ASCII
+/// characters (multi-byte, combining, BOM, emoji).
+const CSV_TOKENS: &[&str] = &[
+    "\"", "\"\"", ",", "\r", "\n", "\r\n", "0", "7", "42", "-3", "2.5", "1e3", "true", "false",
+    "TRUE", "nan", "inf", " ", "a", "é", "日本", "🙂", "\u{301}", "\u{feff}",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn csv_parser_never_panics_on_untrusted_text(
+        picks in prop::collection::vec(0usize..CSV_TOKENS.len(), 0..48),
+    ) {
+        // `Ok` with a consistent frame, or a typed error the parser can
+        // produce — never a panic.
+        let text: String = picks.iter().map(|&i| CSV_TOKENS[i]).collect();
+        match parse_csv(&text) {
+            Ok(frame) => {
+                for column in frame.columns() {
+                    prop_assert_eq!(column.len(), frame.n_rows(), "input {:?}", text);
+                }
+            }
+            Err(FrameError::Csv { .. } | FrameError::DuplicateColumn(_)) => {}
+            Err(other) => panic!("untyped failure {other:?} for input {text:?}"),
         }
     }
 }
