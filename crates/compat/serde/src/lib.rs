@@ -2,22 +2,33 @@
 //!
 //! The build environment has no network access, so the workspace vendors
 //! a minimal serde replacement. Instead of real serde's
-//! serializer/deserializer visitor architecture, this facade round-trips
-//! every type through a JSON-shaped [`Value`] tree:
+//! serializer/deserializer visitor architecture, the facade is JSON-only
+//! and has two typed paths plus an untyped one:
 //!
-//! * [`Serialize`] renders a type into a [`Value`],
-//! * [`Deserialize`] rebuilds a type from a [`Value`],
-//! * the sibling `serde_json` shim turns [`Value`] into JSON text and back.
+//! * [`Serialize::write_json`] appends compact JSON straight to a
+//!   `String` using the writer primitives in [`json`];
+//! * [`Deserialize::read_json`] reads a value straight from JSON text
+//!   through the one-pass [`json::Reader`], borrowing keys from the
+//!   input and allocating only what ends up in the result;
+//! * [`Deserialize::deserialize`] rebuilds a value from a parsed
+//!   [`Value`] tree. This is the untyped data model (`serde_json::parse`,
+//!   [`find_field`]), the path that words decode errors, and the oracle
+//!   the typed reader is tested against: `read_json` must accept exactly
+//!   what `deserialize` accepts over [`json::Reader::value`], with an
+//!   equal result.
 //!
 //! The derive macros (`#[derive(Serialize, Deserialize)]`) come from the
-//! vendored `serde_derive` proc-macro crate and follow real serde's wire
-//! conventions: structs are maps, enums are externally tagged
-//! (`"Variant"` / `{"Variant": content}`), `#[serde(untagged)]` and
-//! `#[serde(default)]` behave as in serde proper.
+//! vendored `serde_derive` proc-macro crate, generate all three methods,
+//! and follow real serde's wire conventions: structs are maps, enums are
+//! externally tagged (`"Variant"` / `{"Variant": content}`),
+//! `#[serde(untagged)]` and `#[serde(default)]` behave as in serde
+//! proper. The sibling `serde_json` shim provides the text entry points.
 
 pub use serde_derive::{Deserialize, Serialize};
 
-/// A JSON-shaped dynamic value: the facade's entire data model.
+pub mod json;
+
+/// A JSON-shaped dynamic value: the facade's untyped data model.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
     /// JSON `null`.
@@ -174,23 +185,37 @@ impl std::fmt::Display for DeError {
 
 impl std::error::Error for DeError {}
 
-/// Render `self` into the facade's [`Value`] data model.
+/// Write `self` as compact JSON.
 pub trait Serialize {
-    /// Produce the value tree.
-    fn serialize(&self) -> Value;
+    /// Append the JSON text of `self` to `out`.
+    fn write_json(&self, out: &mut String);
 }
 
-/// Rebuild `Self` from the facade's [`Value`] data model.
+/// Rebuild `Self` from JSON, either from a [`Value`] tree or straight
+/// from the text.
 pub trait Deserialize: Sized {
-    /// Parse the value tree.
+    /// Rebuild from a parsed value tree.
     fn deserialize(v: &Value) -> Result<Self, DeError>;
+
+    /// Read one value straight from JSON text.
+    ///
+    /// Must accept exactly what [`Deserialize::deserialize`] accepts
+    /// over [`json::Reader::value`], with an equal result. The default
+    /// does just that by buffering the value; derived impls and the
+    /// container impls below read token by token instead. Errors carry
+    /// no guaranteed wording: callers that report them re-run the
+    /// `Value` path for its messages.
+    fn read_json(r: &mut json::Reader<'_>) -> Result<Self, DeError> {
+        let v = r.value()?;
+        Self::deserialize(&v)
+    }
 }
 
 // ------------------------------------------------------------ primitives
 
 impl Serialize for bool {
-    fn serialize(&self) -> Value {
-        Value::Bool(*self)
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
     }
 }
 
@@ -203,8 +228,8 @@ impl Deserialize for bool {
 macro_rules! signed_impls {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn serialize(&self) -> Value {
-                Value::I64(*self as i64)
+            fn write_json(&self, out: &mut String) {
+                json::write_i64(*self as i64, out);
             }
         }
         impl Deserialize for $t {
@@ -222,8 +247,8 @@ signed_impls!(i8, i16, i32, i64, isize);
 macro_rules! unsigned_impls {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn serialize(&self) -> Value {
-                Value::U64(*self as u64)
+            fn write_json(&self, out: &mut String) {
+                json::write_u64(*self as u64, out);
             }
         }
         impl Deserialize for $t {
@@ -241,8 +266,8 @@ macro_rules! unsigned_impls {
 unsigned_impls!(u8, u16, u32, u64, usize);
 
 impl Serialize for f64 {
-    fn serialize(&self) -> Value {
-        Value::F64(*self)
+    fn write_json(&self, out: &mut String) {
+        json::write_f64(*self, out);
     }
 }
 
@@ -258,8 +283,8 @@ impl Deserialize for f64 {
 }
 
 impl Serialize for f32 {
-    fn serialize(&self) -> Value {
-        Value::F64(f64::from(*self))
+    fn write_json(&self, out: &mut String) {
+        json::write_f64(f64::from(*self), out);
     }
 }
 
@@ -270,8 +295,8 @@ impl Deserialize for f32 {
 }
 
 impl Serialize for String {
-    fn serialize(&self) -> Value {
-        Value::String(self.clone())
+    fn write_json(&self, out: &mut String) {
+        json::write_str(self, out);
     }
 }
 
@@ -281,11 +306,15 @@ impl Deserialize for String {
             .map(str::to_owned)
             .ok_or_else(|| DeError::expected("a string", v))
     }
+
+    fn read_json(r: &mut json::Reader<'_>) -> Result<Self, DeError> {
+        r.string()
+    }
 }
 
 impl Serialize for str {
-    fn serialize(&self) -> Value {
-        Value::String(self.to_owned())
+    fn write_json(&self, out: &mut String) {
+        json::write_str(self, out);
     }
 }
 
@@ -302,8 +331,8 @@ impl Deserialize for &'static str {
 }
 
 impl Serialize for char {
-    fn serialize(&self) -> Value {
-        Value::String(self.to_string())
+    fn write_json(&self, out: &mut String) {
+        json::write_str(self.encode_utf8(&mut [0; 4]), out);
     }
 }
 
@@ -321,20 +350,27 @@ impl Deserialize for char {
 // ------------------------------------------------------------ containers
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn serialize(&self) -> Value {
-        (**self).serialize()
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
     }
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn serialize(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::serialize).collect())
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.write_json(out);
+        }
+        out.push(']');
     }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn serialize(&self) -> Value {
-        self.as_slice().serialize()
+    fn write_json(&self, out: &mut String) {
+        self.as_slice().write_json(out);
     }
 }
 
@@ -348,8 +384,8 @@ impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn serialize(&self) -> Value {
-        self.as_slice().serialize()
+    fn write_json(&self, out: &mut String) {
+        self.as_slice().write_json(out);
     }
 }
 
@@ -360,13 +396,23 @@ impl<T: Deserialize> Deserialize for Vec<T> {
             .ok_or_else(|| DeError::expected("an array", v))?;
         arr.iter().map(Deserialize::deserialize).collect()
     }
+
+    fn read_json(r: &mut json::Reader<'_>) -> Result<Self, DeError> {
+        r.begin_array()?;
+        let mut first = true;
+        let mut items = Vec::new();
+        while r.next_element(&mut first)? {
+            items.push(T::read_json(r)?);
+        }
+        Ok(items)
+    }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn serialize(&self) -> Value {
+    fn write_json(&self, out: &mut String) {
         match self {
-            Some(x) => x.serialize(),
-            None => Value::Null,
+            Some(x) => x.write_json(out),
+            None => out.push_str("null"),
         }
     }
 }
@@ -378,11 +424,18 @@ impl<T: Deserialize> Deserialize for Option<T> {
         }
         T::deserialize(v).map(Some)
     }
+
+    fn read_json(r: &mut json::Reader<'_>) -> Result<Self, DeError> {
+        if r.null()? {
+            return Ok(None);
+        }
+        T::read_json(r).map(Some)
+    }
 }
 
 impl<T: Serialize> Serialize for Box<T> {
-    fn serialize(&self) -> Value {
-        (**self).serialize()
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
     }
 }
 
@@ -390,13 +443,17 @@ impl<T: Deserialize> Deserialize for Box<T> {
     fn deserialize(v: &Value) -> Result<Self, DeError> {
         T::deserialize(v).map(Box::new)
     }
+
+    fn read_json(r: &mut json::Reader<'_>) -> Result<Self, DeError> {
+        T::read_json(r).map(Box::new)
+    }
 }
 
 macro_rules! tuple_impls {
     ($(($($t:ident : $idx:tt),+))*) => {$(
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
-            fn serialize(&self) -> Value {
-                Value::Array(vec![$(self.$idx.serialize()),+])
+            fn write_json(&self, out: &mut String) {
+                [$(&self.$idx as &dyn Serialize),+].write_json(out);
             }
         }
         impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
@@ -410,6 +467,21 @@ macro_rules! tuple_impls {
                 }
                 Ok(($($t::deserialize(&arr[$idx])?,)+))
             }
+
+            fn read_json(r: &mut json::Reader<'_>) -> Result<Self, DeError> {
+                r.begin_array()?;
+                let mut first = true;
+                let tuple = ($({
+                    if !r.next_element(&mut first)? {
+                        return Err(r.mismatch("a longer array"));
+                    }
+                    $t::read_json(r)?
+                },)+);
+                if r.next_element(&mut first)? {
+                    return Err(r.mismatch("a shorter array"));
+                }
+                Ok(tuple)
+            }
         }
     )*};
 }
@@ -421,8 +493,8 @@ tuple_impls! {
 }
 
 impl Serialize for Value {
-    fn serialize(&self) -> Value {
-        self.clone()
+    fn write_json(&self, out: &mut String) {
+        json::write_value(self, out);
     }
 }
 
@@ -430,6 +502,29 @@ impl Deserialize for Value {
     fn deserialize(v: &Value) -> Result<Self, DeError> {
         Ok(v.clone())
     }
+
+    fn read_json(r: &mut json::Reader<'_>) -> Result<Self, DeError> {
+        r.value()
+    }
+}
+
+/// Write `(key, value)` pairs as a JSON object, keys rendered through
+/// `Display`.
+fn write_map<'a, K, V>(pairs: impl Iterator<Item = (&'a K, &'a V)>, out: &mut String)
+where
+    K: std::fmt::Display + 'a,
+    V: Serialize + 'a,
+{
+    out.push('{');
+    for (i, (k, v)) in pairs.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        json::write_str(&k.to_string(), out);
+        out.push(':');
+        v.write_json(out);
+    }
+    out.push('}');
 }
 
 impl<K, V> Serialize for std::collections::BTreeMap<K, V>
@@ -437,12 +532,8 @@ where
     K: std::fmt::Display,
     V: Serialize,
 {
-    fn serialize(&self) -> Value {
-        Value::Object(
-            self.iter()
-                .map(|(k, v)| (k.to_string(), v.serialize()))
-                .collect(),
-        )
+    fn write_json(&self, out: &mut String) {
+        write_map(self.iter(), out);
     }
 }
 
@@ -460,16 +551,11 @@ where
     K: std::fmt::Display + Ord,
     V: Serialize,
 {
-    fn serialize(&self) -> Value {
+    fn write_json(&self, out: &mut String) {
         // Sort keys so hash-map iteration order can't leak into payloads.
         let mut pairs: Vec<(&K, &V)> = self.iter().collect();
         pairs.sort_by(|a, b| a.0.cmp(b.0));
-        Value::Object(
-            pairs
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v.serialize()))
-                .collect(),
-        )
+        write_map(pairs.into_iter(), out);
     }
 }
 
@@ -486,13 +572,33 @@ impl<V: Deserialize> Deserialize for std::collections::HashMap<String, V> {
 mod tests {
     use super::*;
 
+    fn json<T: Serialize + ?Sized>(x: &T) -> String {
+        let mut out = String::new();
+        x.write_json(&mut out);
+        out
+    }
+
+    /// Decode `text` both ways and insist the two paths agree.
+    fn decode<T: Deserialize + PartialEq + std::fmt::Debug>(text: &str) -> T {
+        let tree = json::Reader::new(text).value().unwrap();
+        let via_tree = T::deserialize(&tree).unwrap();
+        let mut r = json::Reader::new(text);
+        let direct = T::read_json(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(via_tree, direct, "{text}");
+        direct
+    }
+
     #[test]
     fn primitive_roundtrips() {
-        assert!(bool::deserialize(&true.serialize()).unwrap());
-        assert_eq!(i64::deserialize(&(-7i64).serialize()).unwrap(), -7);
-        assert_eq!(u64::deserialize(&7u64.serialize()).unwrap(), 7);
-        assert_eq!(f64::deserialize(&1.5f64.serialize()).unwrap(), 1.5);
-        assert_eq!(String::deserialize(&"hi".serialize()).unwrap(), "hi");
+        assert!(decode::<bool>(&json(&true)));
+        assert_eq!(decode::<i64>(&json(&-7i64)), -7);
+        assert_eq!(decode::<u64>(&json(&u64::MAX)), u64::MAX);
+        assert_eq!(decode::<f64>(&json(&1.5f64)), 1.5);
+        assert_eq!(decode::<String>(&json("hi")), "hi");
+        assert_eq!(json(&3.0f64), "3.0");
+        assert_eq!(json(&f64::NAN), "null");
+        assert_eq!(json(&'"'), r#""\"""#);
     }
 
     #[test]
@@ -518,15 +624,23 @@ mod tests {
     fn options_and_vecs() {
         assert_eq!(Option::<u32>::deserialize(&Value::Null).unwrap(), None);
         assert_eq!(Option::<u32>::deserialize(&Value::I64(4)).unwrap(), Some(4));
+        assert_eq!(decode::<Option<u32>>(" null "), None);
+        assert_eq!(json(&None::<u32>), "null");
         let v = vec![1u32, 2, 3];
-        assert_eq!(Vec::<u32>::deserialize(&v.serialize()).unwrap(), v);
+        assert_eq!(json(&v), "[1,2,3]");
+        assert_eq!(decode::<Vec<u32>>(&json(&v)), v);
+        assert_eq!(decode::<Vec<Vec<u32>>>("[[], [1]]"), vec![vec![], vec![1]]);
     }
 
     #[test]
     fn tuples() {
         let t = ("a".to_string(), 2u64);
-        assert_eq!(<(String, u64)>::deserialize(&t.serialize()).unwrap(), t);
+        assert_eq!(json(&t), r#"["a",2]"#);
+        assert_eq!(decode::<(String, u64)>(&json(&t)), t);
         assert!(<(String, u64)>::deserialize(&Value::Array(vec![])).is_err());
+        for bad in ["[]", r#"["a"]"#, r#"["a",2,3]"#, r#"[2,"a"]"#] {
+            assert!(<(String, u64)>::read_json(&mut json::Reader::new(bad)).is_err());
+        }
     }
 
     #[test]

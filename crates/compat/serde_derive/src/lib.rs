@@ -1,18 +1,36 @@
 //! Offline derive-macro shim for the vendored `serde` facade.
 //!
 //! The build environment has no network access, so the workspace vendors
-//! a minimal serde-compatible facade (`crates/compat/serde`) whose data
-//! model is a JSON `Value` tree. This crate provides the matching
-//! `#[derive(Serialize)]` / `#[derive(Deserialize)]` macros, hand-rolled
-//! on the bare `proc_macro` API (no `syn`/`quote`).
+//! a minimal JSON-only serde facade (`crates/compat/serde`). This crate
+//! provides its `#[derive(Serialize)]` / `#[derive(Deserialize)]` macros,
+//! hand-rolled on the bare `proc_macro` API (no `syn`/`quote`). The
+//! generated code goes straight between JSON text and the type:
+//!
+//! * `Serialize::write_json` appends compact JSON to a `String`: fields
+//!   in declaration order, keys and punctuation as precomputed literals,
+//!   values through the facade's writer primitives;
+//! * `Deserialize::read_json` reads in one pass from a
+//!   `serde::json::Reader`: keys compare as borrowed byte slices, the
+//!   first occurrence of a key wins, unknown keys are skipped (still
+//!   syntax-checked), and only owned strings and containers that end up
+//!   in the value allocate;
+//! * `Deserialize::deserialize` rebuilds the type from a parsed
+//!   `serde::Value` tree. It is the reference the reader must agree
+//!   with, and the path that words decode errors.
 //!
 //! Supported shapes — exactly what the workspace uses:
 //!
 //! * structs with named fields (plus unit and tuple structs),
 //! * enums with unit / tuple / struct variants, externally tagged like
-//!   real serde (`"Variant"`, `{"Variant": content}`),
-//! * `#[serde(untagged)]` on enums,
-//! * `#[serde(default)]` and `#[serde(default = "path")]` on fields.
+//!   real serde (`"Variant"`, `{"Variant": content}`); in map form,
+//!   unknown sibling keys are ignored and two known variant keys are an
+//!   error,
+//! * `#[serde(untagged)]` on enums (read by buffering one `Value` and
+//!   trying each variant in order),
+//! * `#[serde(default)]` and `#[serde(default = "path")]` on fields; a
+//!   field without a default that is absent reads as `null`, so an
+//!   `Option` is `None`, an `f64` is NaN, and anything else is a
+//!   missing-field error.
 //!
 //! Anything else (generics, lifetimes, other serde attributes) produces
 //! a `compile_error!` so misuse is loud rather than silently wrong.
@@ -331,8 +349,14 @@ fn parse_variants(stream: TokenStream) -> Result<Vec<Variant>, String> {
 fn gen_serialize(item: &Item) -> String {
     let name = &item.name;
     let body = match &item.data {
-        Data::Struct(fields) => ser_named_fields_expr(fields, "self."),
-        Data::TupleStruct(n) => ser_tuple_expr(*n, "self."),
+        Data::Struct(fields) => {
+            let access: Vec<String> = fields.iter().map(|f| format!("&self.{}", f.name)).collect();
+            ser_fields(fields, &access)
+        }
+        Data::TupleStruct(n) => {
+            let access: Vec<String> = (0..*n).map(|k| format!("&self.{k}")).collect();
+            ser_tuple(&access)
+        }
         Data::Enum(variants) => {
             let mut arms = String::new();
             for v in variants {
@@ -344,77 +368,90 @@ fn gen_serialize(item: &Item) -> String {
     format!(
         "#[automatically_derived]\n\
          impl ::serde::Serialize for {name} {{\n\
-             fn serialize(&self) -> ::serde::Value {{ {body} }}\n\
+             fn write_json(&self, __out: &mut ::std::string::String) {{ {body} }}\n\
          }}"
     )
 }
 
-/// `{prefix}{field}` access for each named field, packed into an Object.
-fn ser_named_fields_expr(fields: &[Field], prefix: &str) -> String {
-    let mut pushes = String::new();
-    for f in fields {
-        let fname = &f.name;
-        pushes.push_str(&format!(
-            "__fields.push((\"{fname}\".to_string(), \
-             ::serde::Serialize::serialize(&{prefix}{fname})));\n"
-        ));
-    }
-    format!(
-        "{{ let mut __fields: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = \
-         ::std::vec::Vec::new();\n{pushes}::serde::Value::Object(__fields) }}"
-    )
+/// Statements appending `text` verbatim.
+fn push_text(text: &str) -> String {
+    format!("__out.push_str({text:?});\n")
 }
 
-fn ser_tuple_expr(n: usize, prefix: &str) -> String {
-    if n == 1 {
-        return format!("::serde::Serialize::serialize(&{prefix}0)");
+/// Statements writing the value behind the reference expression `expr`.
+fn write_expr(expr: &str) -> String {
+    format!("::serde::Serialize::write_json({expr}, __out);\n")
+}
+
+/// Statements writing named fields as a JSON object, in declaration
+/// order; `access[i]` is a reference expression for field `i`.
+fn ser_fields(fields: &[Field], access: &[String]) -> String {
+    if fields.is_empty() {
+        return push_text("{}");
     }
-    let items: Vec<String> = (0..n)
-        .map(|k| format!("::serde::Serialize::serialize(&{prefix}{k})"))
-        .collect();
-    format!("::serde::Value::Array(vec![{}])", items.join(", "))
+    let mut code = String::new();
+    for (i, (f, expr)) in fields.iter().zip(access).enumerate() {
+        let sep = if i == 0 { "{" } else { "," };
+        code.push_str(&push_text(&format!("{sep}\"{}\":", f.name)));
+        code.push_str(&write_expr(expr));
+    }
+    code.push_str(&push_text("}"));
+    code
+}
+
+/// Statements writing tuple fields: the lone field itself for a
+/// newtype, a JSON array otherwise.
+fn ser_tuple(access: &[String]) -> String {
+    if let [only] = access {
+        return write_expr(only);
+    }
+    let mut code = push_text("[");
+    for (i, expr) in access.iter().enumerate() {
+        if i > 0 {
+            code.push_str(&push_text(","));
+        }
+        code.push_str(&write_expr(expr));
+    }
+    code.push_str(&push_text("]"));
+    code
 }
 
 fn ser_variant_arm(ty: &str, v: &Variant, untagged: bool) -> String {
     let vn = &v.name;
-    match &v.kind {
+    let (pattern, content) = match &v.kind {
         VariantKind::Unit => {
-            let val = if untagged {
-                "::serde::Value::Null".to_string()
+            let text = if untagged {
+                "null".to_string()
             } else {
-                format!("::serde::Value::String(\"{vn}\".to_string())")
+                format!("\"{vn}\"")
             };
-            format!("{ty}::{vn} => {val},\n")
+            return format!("{ty}::{vn} => {{ {} }}\n", push_text(&text));
         }
         VariantKind::Tuple(n) => {
             let binds: Vec<String> = (0..*n).map(|k| format!("__f{k}")).collect();
-            let content = if *n == 1 {
-                "::serde::Serialize::serialize(__f0)".to_string()
-            } else {
-                let items: Vec<String> = binds
-                    .iter()
-                    .map(|b| format!("::serde::Serialize::serialize({b})"))
-                    .collect();
-                format!("::serde::Value::Array(vec![{}])", items.join(", "))
-            };
-            let val = if untagged {
-                content
-            } else {
-                format!("::serde::Value::Object(vec![(\"{vn}\".to_string(), {content})])")
-            };
-            format!("{ty}::{vn}({}) => {val},\n", binds.join(", "))
+            (
+                format!("{ty}::{vn}({})", binds.join(", ")),
+                ser_tuple(&binds),
+            )
         }
         VariantKind::Struct(fields) => {
             let binds: Vec<String> = fields.iter().map(|f| f.name.clone()).collect();
-            let content = ser_named_fields_expr(fields, "*");
-            let val = if untagged {
-                content
-            } else {
-                format!("::serde::Value::Object(vec![(\"{vn}\".to_string(), {content})])")
-            };
-            format!("{ty}::{vn} {{ {} }} => {val},\n", binds.join(", "))
+            (
+                format!("{ty}::{vn} {{ {} }}", binds.join(", ")),
+                ser_fields(fields, &binds),
+            )
         }
-    }
+    };
+    let body = if untagged {
+        content
+    } else {
+        format!(
+            "{}{content}{}",
+            push_text(&format!("{{\"{vn}\":")),
+            push_text("}")
+        )
+    };
+    format!("{pattern} => {{ {body} }}\n")
 }
 
 fn gen_deserialize(item: &Item) -> String {
@@ -437,11 +474,156 @@ fn gen_deserialize(item: &Item) -> String {
             }
         }
     };
+    // Untagged enums keep the trait's default `read_json`, which
+    // buffers one value and tries the variants against it.
+    let reader = match &item.data {
+        Data::Struct(fields) => read_fields_expr(name, fields),
+        Data::TupleStruct(n) => read_tuple_expr(name, *n),
+        Data::Enum(_) if item.untagged => String::new(),
+        Data::Enum(variants) => read_tagged_enum_expr(name, variants),
+    };
+    let read_json = if reader.is_empty() {
+        String::new()
+    } else {
+        format!(
+            "fn read_json(__r: &mut ::serde::json::Reader<'_>) \
+             -> ::std::result::Result<Self, ::serde::DeError> {{\n{reader}\n}}\n"
+        )
+    };
     format!(
         "#[automatically_derived]\n\
          impl ::serde::Deserialize for {name} {{\n\
              fn deserialize(__v: &::serde::Value) \
              -> ::std::result::Result<Self, ::serde::DeError> {{\n{body}\n}}\n\
+             {read_json}\
+         }}"
+    )
+}
+
+/// The value of a field absent from its map: the declared default, or
+/// whatever `null` reads as (so `Option` is `None` and `f64` is NaN),
+/// else a `missing_field` error.
+fn missing_field_expr(fname: &str, ctor_path: &str, default: &Option<Option<String>>) -> String {
+    match default {
+        None => format!(
+            "::serde::Deserialize::deserialize(&::serde::Value::Null)\
+             .map_err(|_| ::serde::DeError::missing_field(\"{fname}\", \"{ctor_path}\"))?"
+        ),
+        Some(None) => "::std::default::Default::default()".to_string(),
+        Some(Some(path)) => format!("{path}()"),
+    }
+}
+
+/// Expression reading a JSON object into `ctor_path { fields }` straight
+/// from the text: keys compare as borrowed bytes, the first occurrence
+/// of a key wins, unknown keys are skipped (syntax-checked).
+fn read_fields_expr(ctor_path: &str, fields: &[Field]) -> String {
+    let mut slots = String::new();
+    let mut arms = String::new();
+    let mut inits = String::new();
+    for (i, f) in fields.iter().enumerate() {
+        let fname = &f.name;
+        slots.push_str(&format!("let mut __s{i} = ::std::option::Option::None;\n"));
+        arms.push_str(&format!(
+            "b\"{fname}\" if __s{i}.is_none() => {{ \
+             __s{i} = ::std::option::Option::Some(::serde::Deserialize::read_json(__r)?); }}\n"
+        ));
+        let missing = missing_field_expr(fname, ctor_path, &f.default);
+        inits.push_str(&format!(
+            "{fname}: match __s{i} {{ \
+             ::std::option::Option::Some(__x) => __x, \
+             ::std::option::Option::None => {missing}, }},\n"
+        ));
+    }
+    format!(
+        "{{ {slots}\
+         __r.begin_object()?;\n\
+         let mut __first = true;\n\
+         while let ::std::option::Option::Some(__k) = __r.next_key(&mut __first)? {{\n\
+             match __k.as_bytes() {{\n{arms}\
+                 _ => __r.skip_value()?,\n\
+             }}\n\
+         }}\n\
+         ::std::result::Result::Ok({ctor_path} {{ {inits} }}) }}"
+    )
+}
+
+/// Expression reading tuple fields into `ctor_path(..)`: the lone field
+/// itself for a newtype, an exact-length JSON array otherwise.
+fn read_tuple_expr(ctor_path: &str, n: usize) -> String {
+    if n == 1 {
+        return format!(
+            "::std::result::Result::Ok({ctor_path}(::serde::Deserialize::read_json(__r)?))"
+        );
+    }
+    let mut reads = String::new();
+    let mut binds = Vec::new();
+    for k in 0..n {
+        reads.push_str(&format!(
+            "if !__r.next_element(&mut __first)? {{ \
+             return ::std::result::Result::Err(__r.mismatch(\"{n} elements\")); }}\n\
+             let __t{k} = ::serde::Deserialize::read_json(__r)?;\n"
+        ));
+        binds.push(format!("__t{k}"));
+    }
+    format!(
+        "{{ __r.begin_array()?;\n\
+         let mut __first = true;\n\
+         {reads}\
+         if __r.next_element(&mut __first)? {{ \
+         return ::std::result::Result::Err(__r.mismatch(\"{n} elements\")); }}\n\
+         ::std::result::Result::Ok({ctor_path}({})) }}",
+        binds.join(", ")
+    )
+}
+
+/// Expression reading an externally tagged enum straight from the text,
+/// with the rules of the `Value` path: a string names a unit variant; in
+/// a map, unknown sibling keys are skipped, exactly one known variant
+/// key must appear, and a unit variant's content is ignored.
+fn read_tagged_enum_expr(name: &str, variants: &[Variant]) -> String {
+    let mut unit_arms = String::new();
+    let mut tag_arms = String::new();
+    for v in variants {
+        let vn = &v.name;
+        let ctor = format!("{name}::{vn}");
+        let read = match &v.kind {
+            VariantKind::Unit => {
+                unit_arms.push_str(&format!(
+                    "b\"{vn}\" => ::std::result::Result::Ok({ctor}),\n"
+                ));
+                format!("{{ __r.skip_value()?; ::std::result::Result::Ok({ctor}) }}")
+            }
+            VariantKind::Tuple(n) => read_tuple_expr(&ctor, *n),
+            VariantKind::Struct(fields) => read_fields_expr(&ctor, fields),
+        };
+        tag_arms.push_str(&format!("b\"{vn}\" => {read},\n"));
+    }
+    format!(
+        "match __r.peek_token() {{\n\
+             ::std::option::Option::Some(b'\"') => {{\n\
+                 let __tag = __r.str_cow()?;\n\
+                 match __tag.as_bytes() {{\n{unit_arms}\
+                     _ => ::std::result::Result::Err(__r.mismatch(\"a unit variant of {name}\")),\n\
+                 }}\n\
+             }}\n\
+             ::std::option::Option::Some(b'{{') => {{\n\
+                 __r.begin_object()?;\n\
+                 let mut __first = true;\n\
+                 let mut __found: ::std::option::Option<Self> = ::std::option::Option::None;\n\
+                 while let ::std::option::Option::Some(__k) = __r.next_key(&mut __first)? {{\n\
+                     let __variant: ::std::result::Result<Self, ::serde::DeError> = \
+                     match __k.as_bytes() {{\n{tag_arms}\
+                         _ => {{ __r.skip_value()?; continue; }}\n\
+                     }};\n\
+                     if __found.is_some() {{\n\
+                         return ::std::result::Result::Err(__r.mismatch(\"one variant key for {name}\"));\n\
+                     }}\n\
+                     __found = ::std::option::Option::Some(__variant?);\n\
+                 }}\n\
+                 __found.ok_or_else(|| __r.mismatch(\"a variant key for {name}\"))\n\
+             }}\n\
+             _ => ::std::result::Result::Err(__r.mismatch(\"a string or tagged map for enum {name}\")),\n\
          }}"
     )
 }
@@ -451,14 +633,7 @@ fn de_named_fields_ctor(ctor_path: &str, fields: &[Field], obj_var: &str) -> Str
     let mut inits = String::new();
     for f in fields {
         let fname = &f.name;
-        let missing = match &f.default {
-            None => format!(
-                "::serde::Deserialize::deserialize(&::serde::Value::Null)\
-                 .map_err(|_| ::serde::DeError::missing_field(\"{fname}\", \"{ctor_path}\"))?"
-            ),
-            Some(None) => "::std::default::Default::default()".to_string(),
-            Some(Some(path)) => format!("{path}()"),
-        };
+        let missing = missing_field_expr(fname, ctor_path, &f.default);
         inits.push_str(&format!(
             "{fname}: match ::serde::find_field({obj_var}, \"{fname}\") {{\n\
                  ::std::option::Option::Some(__x) => \

@@ -1,5 +1,5 @@
-//! Offline `serde_json` shim: JSON text over the vendored serde facade's
-//! [`Value`] data model.
+//! Offline `serde_json` shim: JSON text entry points over the vendored
+//! serde facade.
 //!
 //! Matches the serde_json conventions the workspace relies on:
 //!
@@ -9,14 +9,19 @@
 //! * `from_str` requires the whole input to be one JSON document,
 //! * errors carry a byte offset for malformed documents,
 //! * arrays and objects nest at most [`MAX_DEPTH`] levels deep (the
-//!   parser recurses once per level, so an unbounded document could
+//!   reader recurses once per level, so an unbounded document could
 //!   overflow the stack and abort the process).
+//!
+//! Typed values go straight between text and type: [`to_string`] runs
+//! the derive-generated writers and [`from_str`] the generated one-pass
+//! readers. The [`Value`] tree ([`parse`], [`from_value`], [`to_value`])
+//! serves untyped callers and words every decode error: when the typed
+//! reader rejects a document, [`from_str`] re-reads it through the tree
+//! so the message is the same either way.
 
+use serde::json::Reader;
+pub use serde::json::MAX_DEPTH;
 pub use serde::Value;
-
-/// Deepest array/object nesting [`parse`] accepts; deeper documents are
-/// a parse error. Matches upstream serde_json's default recursion limit.
-pub const MAX_DEPTH: usize = 128;
 
 /// Encode or decode failure.
 #[derive(Clone, Debug)]
@@ -30,9 +35,11 @@ impl Error {
             message: message.into(),
         }
     }
+}
 
-    fn at(message: impl std::fmt::Display, pos: usize) -> Error {
-        Error::new(format!("{message} at byte {pos}"))
+impl From<serde::DeError> for Error {
+    fn from(e: serde::DeError) -> Error {
+        Error::new(e.to_string())
     }
 }
 
@@ -50,8 +57,8 @@ impl std::error::Error for Error {}
 /// Never fails for tree-shaped data; the `Result` mirrors serde_json's
 /// signature.
 pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&value.serialize(), &mut out);
+    let mut out = String::with_capacity(512);
+    value.write_json(&mut out);
     Ok(out)
 }
 
@@ -61,16 +68,17 @@ pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Erro
 /// Never fails for tree-shaped data.
 pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value_pretty(&value.serialize(), &mut out, 0);
+    write_value_pretty(&to_value(value)?, &mut out, 0);
     Ok(out)
 }
 
-/// Convert a value into the facade's [`Value`] tree.
+/// Convert a value into the facade's [`Value`] tree (by writing and
+/// re-reading its JSON text).
 ///
 /// # Errors
-/// Never fails; mirrors serde_json's signature.
+/// Never fails for tree-shaped data; mirrors serde_json's signature.
 pub fn to_value<T: serde::Serialize + ?Sized>(value: &T) -> Result<Value, Error> {
-    Ok(value.serialize())
+    parse(&to_string(value)?)
 }
 
 /// Rebuild a typed value from a [`Value`] tree.
@@ -78,16 +86,29 @@ pub fn to_value<T: serde::Serialize + ?Sized>(value: &T) -> Result<Value, Error>
 /// # Errors
 /// Propagates facade deserialization errors.
 pub fn from_value<T: serde::Deserialize>(value: &Value) -> Result<T, Error> {
-    T::deserialize(value).map_err(|e| Error::new(e.to_string()))
+    T::deserialize(value).map_err(Error::from)
 }
 
 /// Parse one JSON document into a typed value.
 ///
 /// # Errors
-/// Malformed JSON, trailing garbage, or a shape mismatch with `T`.
+/// Malformed JSON, trailing garbage, or a shape mismatch with `T`; the
+/// message is the one the [`Value`] path gives.
 pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T, Error> {
-    let value = parse(s)?;
-    from_value(&value)
+    if let Some(value) = try_from_str(s) {
+        return Ok(value);
+    }
+    from_value(&parse(s)?)
+}
+
+/// Parse one JSON document into a typed value with the typed reader
+/// alone: `None` wherever [`from_str`] would fail, without building the
+/// error message. For hot paths that answer failures themselves.
+pub fn try_from_str<T: serde::Deserialize>(s: &str) -> Option<T> {
+    let mut r = Reader::new(s);
+    let value = T::read_json(&mut r).ok()?;
+    r.finish().ok()?;
+    Some(value)
 }
 
 /// Parse one JSON document into a raw [`Value`].
@@ -96,54 +117,10 @@ pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T, Error> {
 /// Malformed JSON, trailing garbage, or nesting deeper than
 /// [`MAX_DEPTH`].
 pub fn parse(s: &str) -> Result<Value, Error> {
-    let mut p = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(Error::at("trailing characters", p.pos));
-    }
+    let mut r = Reader::new(s);
+    let v = r.value()?;
+    r.finish()?;
     Ok(v)
-}
-
-// ----------------------------------------------------------------- writer
-
-fn write_value(v: &Value, out: &mut String) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::I64(x) => out.push_str(&x.to_string()),
-        Value::U64(x) => out.push_str(&x.to_string()),
-        Value::F64(x) => write_f64(*x, out),
-        Value::String(s) => write_string(s, out),
-        Value::Array(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_value(item, out);
-            }
-            out.push(']');
-        }
-        Value::Object(pairs) => {
-            out.push('{');
-            for (i, (k, item)) in pairs.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_string(k, out);
-                out.push(':');
-                write_value(item, out);
-            }
-            out.push('}');
-        }
-    }
 }
 
 fn write_value_pretty(v: &Value, out: &mut String, indent: usize) {
@@ -168,7 +145,7 @@ fn write_value_pretty(v: &Value, out: &mut String, indent: usize) {
                     out.push_str(",\n");
                 }
                 push_indent(out, indent + 1);
-                write_string(k, out);
+                serde::json::write_str(k, out);
                 out.push_str(": ");
                 write_value_pretty(item, out, indent + 1);
             }
@@ -176,294 +153,13 @@ fn write_value_pretty(v: &Value, out: &mut String, indent: usize) {
             push_indent(out, indent);
             out.push('}');
         }
-        other => write_value(other, out),
+        other => serde::json::write_value(other, out),
     }
 }
 
 fn push_indent(out: &mut String, indent: usize) {
     for _ in 0..indent {
         out.push_str("  ");
-    }
-}
-
-fn write_f64(x: f64, out: &mut String) {
-    if !x.is_finite() {
-        out.push_str("null");
-        return;
-    }
-    // `{:?}` is Rust's shortest roundtrip form and always keeps a
-    // fraction or exponent for floats (`3.0`, `1e300`), like serde_json.
-    out.push_str(&format!("{x:?}"));
-}
-
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-// ----------------------------------------------------------------- parser
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    /// Arrays/objects currently open.
-    depth: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), Error> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(Error::at(format!("expected `{}`", b as char), self.pos))
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Value) -> Result<Value, Error> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(Error::at(format!("expected `{word}`"), self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, Error> {
-        match self.peek() {
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'"') => self.string().map(Value::String),
-            Some(b'[') => self.nested(Self::array),
-            Some(b'{') => self.nested(Self::object),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(c) => Err(Error::at(
-                format!("unexpected character `{}`", c as char),
-                self.pos,
-            )),
-            None => Err(Error::at("unexpected end of input", self.pos)),
-        }
-    }
-
-    /// Parse one array or object one level deeper, refusing to go past
-    /// [`MAX_DEPTH`].
-    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
-        if self.depth == MAX_DEPTH {
-            return Err(Error::at(
-                format!("nesting deeper than {MAX_DEPTH} levels"),
-                self.pos,
-            ));
-        }
-        self.depth += 1;
-        let v = parse(self);
-        self.depth -= 1;
-        v
-    }
-
-    fn array(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(Error::at("expected `,` or `]`", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(pairs));
-                }
-                _ => return Err(Error::at("expected `,` or `}`", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let start = self.pos;
-            // Fast path: copy a clean UTF-8 run without escapes.
-            while let Some(b) = self.peek() {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
-            if self.pos > start {
-                out.push_str(
-                    std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| Error::at("invalid UTF-8", start))?,
-                );
-            }
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    self.escape(&mut out)?;
-                }
-                Some(_) => return Err(Error::at("control character in string", self.pos)),
-                None => return Err(Error::at("unterminated string", self.pos)),
-            }
-        }
-    }
-
-    fn escape(&mut self, out: &mut String) -> Result<(), Error> {
-        let c = self
-            .peek()
-            .ok_or_else(|| Error::at("unterminated escape", self.pos))?;
-        self.pos += 1;
-        match c {
-            b'"' => out.push('"'),
-            b'\\' => out.push('\\'),
-            b'/' => out.push('/'),
-            b'b' => out.push('\u{08}'),
-            b'f' => out.push('\u{0c}'),
-            b'n' => out.push('\n'),
-            b'r' => out.push('\r'),
-            b't' => out.push('\t'),
-            b'u' => {
-                let hi = self.hex4()?;
-                let code = if (0xD800..0xDC00).contains(&hi) {
-                    // Surrogate pair: expect a low surrogate escape next.
-                    if self.peek() == Some(b'\\') {
-                        self.pos += 1;
-                        self.expect(b'u')?;
-                        let lo = self.hex4()?;
-                        if !(0xDC00..0xE000).contains(&lo) {
-                            return Err(Error::at("invalid low surrogate", self.pos));
-                        }
-                        0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                    } else {
-                        return Err(Error::at("unpaired surrogate", self.pos));
-                    }
-                } else {
-                    hi
-                };
-                out.push(
-                    char::from_u32(code)
-                        .ok_or_else(|| Error::at("invalid unicode escape", self.pos))?,
-                );
-            }
-            other => {
-                return Err(Error::at(
-                    format!("invalid escape `\\{}`", other as char),
-                    self.pos,
-                ))
-            }
-        }
-        Ok(())
-    }
-
-    fn hex4(&mut self) -> Result<u32, Error> {
-        let mut code = 0u32;
-        for _ in 0..4 {
-            let b = self
-                .peek()
-                .ok_or_else(|| Error::at("truncated \\u escape", self.pos))?;
-            let digit = match b {
-                b'0'..=b'9' => u32::from(b - b'0'),
-                b'a'..=b'f' => u32::from(b - b'a') + 10,
-                b'A'..=b'F' => u32::from(b - b'A') + 10,
-                _ => return Err(Error::at("invalid hex digit", self.pos)),
-            };
-            code = code * 16 + digit;
-            self.pos += 1;
-        }
-        Ok(code)
-    }
-
-    fn number(&mut self) -> Result<Value, Error> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::at("invalid number", start))?;
-        if !is_float {
-            if let Ok(x) = text.parse::<i64>() {
-                return Ok(Value::I64(x));
-            }
-            if let Ok(x) = text.parse::<u64>() {
-                return Ok(Value::U64(x));
-            }
-        }
-        text.parse::<f64>()
-            .map(Value::F64)
-            .map_err(|_| Error::at(format!("invalid number `{text}`"), start))
     }
 }
 

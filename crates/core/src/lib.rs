@@ -89,7 +89,9 @@ pub use goal::{Goal, GoalConfig, GoalInversionResult, OptimizerChoice};
 pub use importance::{DriverImportance, VerificationReport};
 pub use kpi::KpiKind;
 pub use model_backend::{ModelConfig, ModelKind, SharedModel, TrainedModel};
-pub use perturbation::{Perturbation, PerturbationKind, PerturbationPlan, PerturbationSet};
+pub use perturbation::{
+    DriverIndex, Perturbation, PerturbationKind, PerturbationPlan, PerturbationSet,
+};
 pub use scenario::{Scenario, ScenarioKind, ScenarioLedger};
 pub use seek::DriverSeekResult;
 pub use sensitivity::{ComparisonCurve, PerDataSensitivity, SensitivityResult};

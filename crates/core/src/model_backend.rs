@@ -3,7 +3,7 @@
 
 use crate::error::{CoreError, Result};
 use crate::kpi::KpiKind;
-use crate::perturbation::{PerturbationPlan, PerturbationSet};
+use crate::perturbation::{DriverIndex, PerturbationPlan, PerturbationSet};
 use serde::{Deserialize, Serialize};
 use whatif_cache::{CacheWeight, Fingerprint, Hasher128};
 use whatif_learn::forest::ForestConfig;
@@ -183,7 +183,9 @@ pub struct TrainedModel {
     kpi_name: String,
     kpi_kind: KpiKind,
     resolved_kind: ModelKind,
-    driver_names: Vec<String>,
+    /// Driver names (aligned with matrix columns) and their lookup,
+    /// built once here rather than per compiled plan.
+    drivers: DriverIndex,
     x: Matrix,
     y: Vec<f64>,
     model: FittedModel,
@@ -261,7 +263,7 @@ impl TrainedModel {
             kpi_name: kpi_name.to_owned(),
             kpi_kind,
             resolved_kind: resolved,
-            driver_names,
+            drivers: DriverIndex::new(driver_names),
             x,
             y,
             model,
@@ -302,7 +304,7 @@ impl TrainedModel {
 
     /// Driver names, aligned with matrix columns.
     pub fn driver_names(&self) -> &[String] {
-        &self.driver_names
+        self.drivers.names()
     }
 
     /// Index of a driver by name.
@@ -310,7 +312,7 @@ impl TrainedModel {
     /// # Errors
     /// [`CoreError::Config`] for unknown drivers.
     pub fn driver_index(&self, name: &str) -> Result<usize> {
-        self.driver_names
+        self.driver_names()
             .iter()
             .position(|n| n == name)
             .ok_or_else(|| CoreError::Config(format!("unknown driver {name:?}")))
@@ -402,10 +404,11 @@ impl TrainedModel {
     /// Compile a perturbation set against this model's drivers.
     ///
     /// # Errors
-    /// [`CoreError::Config`] on unknown or duplicated drivers.
+    /// [`CoreError::Config`] on unknown or duplicated drivers and on
+    /// non-finite amounts.
     pub fn compile_perturbations(&self, set: &PerturbationSet) -> Result<PerturbationPlan> {
         let _stage = whatif_obs::span::stage(whatif_obs::Stage::PlanCompile);
-        set.compile(&self.driver_names)
+        set.compile_indexed(&self.drivers)
     }
 
     /// The KPI of the training data under a compiled perturbation plan,
@@ -452,7 +455,7 @@ impl TrainedModel {
     }
 
     fn sign_by_correlation(&self, unsigned: &[f64]) -> Vec<f64> {
-        (0..self.driver_names.len())
+        (0..self.driver_names().len())
             .map(|j| {
                 let col = self.x.col(j);
                 let r = whatif_stats::pearson(&col, &self.y);
@@ -591,7 +594,7 @@ impl CacheWeight for TrainedModel {
     fn weight_bytes(&self) -> usize {
         let data = (self.x.n_rows() * self.x.n_cols() + self.y.len()) * 8;
         let names: usize = self
-            .driver_names
+            .driver_names()
             .iter()
             .map(|n| n.len() + std::mem::size_of::<String>())
             .sum();

@@ -8,7 +8,6 @@
 
 use crate::error::{CoreError, Result};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 use whatif_learn::{ColumnOverlay, Matrix};
 
 /// How a driver is perturbed.
@@ -95,11 +94,11 @@ impl PerturbationSet {
     }
 
     /// Validate that every perturbation's driver appears in
-    /// `driver_names` and no driver is perturbed twice. Runs in
-    /// O(drivers + perturbations) via hash sets.
+    /// `driver_names`, no driver is perturbed twice and every amount is
+    /// finite.
     ///
     /// # Errors
-    /// [`CoreError::Config`] on unknown or duplicated drivers.
+    /// [`CoreError::Config`] per [`PerturbationSet::compile`].
     pub fn validate(&self, driver_names: &[String]) -> Result<()> {
         self.compile(driver_names).map(|_| ())
     }
@@ -108,26 +107,49 @@ impl PerturbationSet {
     /// indices resolved once. All repeated evaluation (goal seeking,
     /// comparison sweeps, bulk scenarios) should go through the plan.
     ///
+    /// Builds a throwaway [`DriverIndex`]; a model compiles against the
+    /// one it built at fit time via [`PerturbationSet::compile_indexed`].
+    ///
     /// # Errors
-    /// [`CoreError::Config`] on unknown or duplicated drivers.
+    /// [`CoreError::Config`] on unknown or duplicated drivers and on
+    /// non-finite amounts.
     pub fn compile(&self, driver_names: &[String]) -> Result<PerturbationPlan> {
-        let index: std::collections::HashMap<&str, usize> = driver_names
-            .iter()
-            .enumerate()
-            .map(|(j, n)| (n.as_str(), j))
-            .collect();
-        let mut seen: HashSet<&str> = HashSet::with_capacity(self.perturbations.len());
-        let mut steps = Vec::with_capacity(self.perturbations.len());
+        self.compile_indexed(&DriverIndex::new(driver_names.to_vec()))
+    }
+
+    /// [`PerturbationSet::compile`] against a prebuilt driver index.
+    /// Perturbations are checked in order and the first bad one is
+    /// reported.
+    ///
+    /// # Errors
+    /// [`CoreError::Config`] on unknown or duplicated drivers and on
+    /// non-finite amounts (NaN from a JSON `null`, ±inf from an
+    /// overflowing literal), which would otherwise be evaluated, cached
+    /// and echoed back as `null`.
+    pub fn compile_indexed(&self, drivers: &DriverIndex) -> Result<PerturbationPlan> {
+        let mut steps: Vec<(usize, PerturbationKind)> =
+            Vec::with_capacity(self.perturbations.len());
         for p in &self.perturbations {
-            let Some(&j) = index.get(p.driver.as_str()) else {
+            let Some(j) = drivers.get(&p.driver) else {
                 return Err(CoreError::Config(format!(
                     "perturbation references unknown driver {:?}",
                     p.driver
                 )));
             };
-            if !seen.insert(p.driver.as_str()) {
+            // Distinct known names resolve to distinct columns, so a
+            // repeated column is a repeated driver. Steps never outnumber
+            // the drivers, so the scan stays short.
+            if steps.iter().any(|&(c, _)| c == j) {
                 return Err(CoreError::Config(format!(
                     "driver {:?} perturbed more than once",
+                    p.driver
+                )));
+            }
+            let (PerturbationKind::Absolute(amount) | PerturbationKind::Percentage(amount)) =
+                p.kind;
+            if !amount.is_finite() {
+                return Err(CoreError::Config(format!(
+                    "perturbation of driver {:?} has a non-finite amount",
                     p.driver
                 )));
             }
@@ -136,7 +158,7 @@ impl PerturbationSet {
         Ok(PerturbationPlan {
             steps,
             clamp_non_negative: self.clamp_non_negative,
-            n_cols: driver_names.len(),
+            n_cols: drivers.names().len(),
         })
     }
 
@@ -171,6 +193,41 @@ impl PerturbationSet {
         let mut out = row.to_vec();
         plan.apply_to_row(&mut out);
         Ok(out)
+    }
+}
+
+/// Name → column lookup over a model's drivers. A model builds it once
+/// at fit time, so compiling a plan per request hashes nothing and
+/// allocates only the plan.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DriverIndex {
+    names: Vec<String>,
+    /// Column indices sorted (stably) by name: among repeated names the
+    /// last column sorts last and is the one found, as in a map collected
+    /// in column order.
+    by_name: Vec<usize>,
+}
+
+impl DriverIndex {
+    /// Index `names` (aligned with matrix columns).
+    pub fn new(names: Vec<String>) -> DriverIndex {
+        let mut by_name: Vec<usize> = (0..names.len()).collect();
+        by_name.sort_by(|&a, &b| names[a].cmp(&names[b]));
+        DriverIndex { names, by_name }
+    }
+
+    /// The indexed names, in column order.
+    pub fn names(&self) -> &[String] {
+        &self.names
+    }
+
+    /// Column of the driver called `name`.
+    pub fn get(&self, name: &str) -> Option<usize> {
+        let end = self
+            .by_name
+            .partition_point(|&j| self.names[j].as_str() <= name);
+        let j = *self.by_name[..end].last()?;
+        (self.names[j] == name).then_some(j)
     }
 }
 
@@ -469,6 +526,66 @@ mod tests {
         assert_eq!(
             plan.overlay(&m).unwrap().col_override(0).unwrap(),
             &[-5.0, 5.0]
+        );
+    }
+
+    #[test]
+    fn driver_index_finds_every_name_and_nothing_else() {
+        let names: Vec<String> = ["zeta", "alpha", "mid", "Alpha", ""]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let index = DriverIndex::new(names.clone());
+        for (j, n) in names.iter().enumerate() {
+            assert_eq!(index.get(n), Some(j), "{n:?}");
+        }
+        for absent in ["alph", "zz", "m", "ALPHA", " "] {
+            assert_eq!(index.get(absent), None, "{absent:?}");
+        }
+        assert_eq!(DriverIndex::new(Vec::new()).get("a"), None);
+        // Repeated names resolve to the last column, like a map
+        // collected in column order.
+        let dup = DriverIndex::new(vec!["a".into(), "b".into(), "a".into()]);
+        assert_eq!(dup.get("a"), Some(2));
+    }
+
+    #[test]
+    fn compile_reports_the_first_bad_perturbation() {
+        let set = PerturbationSet::new(vec![
+            Perturbation::percentage("a", 1.0),
+            Perturbation::percentage("nope", 1.0),
+            Perturbation::percentage("a", 2.0),
+        ]);
+        let err = set.compile(&names()).unwrap_err().to_string();
+        assert!(err.contains("unknown driver \"nope\""), "{err}");
+        let set = PerturbationSet::new(vec![
+            Perturbation::percentage("b", 1.0),
+            Perturbation::absolute("b", 2.0),
+            Perturbation::percentage("nope", 1.0),
+        ]);
+        let err = set.compile(&names()).unwrap_err().to_string();
+        assert!(
+            err.contains("driver \"b\" perturbed more than once"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn compile_rejects_non_finite_amounts() {
+        for amount in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for p in [
+                Perturbation::percentage("a", amount),
+                Perturbation::absolute("b", amount),
+            ] {
+                let err = PerturbationSet::new(vec![p]).compile(&names()).unwrap_err();
+                assert!(matches!(err, CoreError::Config(_)), "{err:?}");
+                assert!(err.to_string().contains("non-finite"), "{err}");
+            }
+        }
+        let extreme = PerturbationSet::new(vec![Perturbation::absolute("a", f64::MAX)]);
+        assert!(
+            extreme.compile(&names()).is_ok(),
+            "large but finite is fine"
         );
     }
 }

@@ -122,7 +122,8 @@ impl TrainedModel {
     /// allocation, no re-validation, no full-matrix clone.
     ///
     /// # Errors
-    /// Propagated prediction errors.
+    /// [`crate::error::CoreError::Config`] on a non-finite percentage;
+    /// propagated prediction errors.
     pub fn comparison_analysis(&self, percentages: &[f64]) -> Result<Vec<ComparisonCurve>> {
         self.comparison_with(percentages, None)
             .map(|(curves, _)| curves)
@@ -136,6 +137,13 @@ impl TrainedModel {
         percentages: &[f64],
         cache: Option<&crate::cached::EvalCache>,
     ) -> Result<(Vec<ComparisonCurve>, bool)> {
+        // The sweep builds single-column plans directly rather than
+        // compiling named sets, so it applies the same amount check.
+        if percentages.iter().any(|p| !p.is_finite()) {
+            return Err(crate::error::CoreError::Config(
+                "comparison sweep has a non-finite percentage".into(),
+            ));
+        }
         let n_cols = self.driver_names().len();
         let mut curves = Vec::with_capacity(n_cols);
         let mut all_hit = true;

@@ -301,29 +301,38 @@ impl Engine {
 
         let decoded = {
             let _decode = span::stage(Stage::Decode);
-            match serde_json::parse(line) {
-                Err(e) => Line::Malformed(format!("malformed request: {e}")),
-                Ok(parsed) => {
-                    let is_envelope = parsed.as_object().is_some_and(|o| {
-                        serde::find_field(o, "id").is_some()
-                            && serde::find_field(o, "body").is_some()
-                    });
-                    if is_envelope {
-                        match serde_json::from_value::<Envelope>(&parsed) {
-                            Ok(envelope) => Line::Envelope(envelope),
-                            Err(e) => Line::BadEnvelope {
-                                id: parsed
-                                    .as_object()
-                                    .and_then(|o| serde::find_field(o, "id"))
-                                    .and_then(|v| v.as_u64())
-                                    .unwrap_or(0),
-                                message: format!("malformed envelope: {e}"),
-                            },
-                        }
-                    } else {
-                        match serde_json::from_value::<Request>(&parsed) {
-                            Ok(request) => Line::Plain(request),
-                            Err(e) => Line::Malformed(format!("malformed request: {e}")),
+            // Fast path: the typed reader goes straight from text to an
+            // envelope. It accepts exactly the lines the classification
+            // below reads as envelopes, so only the rest (v1 requests and
+            // failures, whose replies quote the `Value` path's messages)
+            // pay for the tree.
+            if let Some(envelope) = serde_json::try_from_str::<Envelope>(line) {
+                Line::Envelope(envelope)
+            } else {
+                match serde_json::parse(line) {
+                    Err(e) => Line::Malformed(format!("malformed request: {e}")),
+                    Ok(parsed) => {
+                        let is_envelope = parsed.as_object().is_some_and(|o| {
+                            serde::find_field(o, "id").is_some()
+                                && serde::find_field(o, "body").is_some()
+                        });
+                        if is_envelope {
+                            match serde_json::from_value::<Envelope>(&parsed) {
+                                Ok(envelope) => Line::Envelope(envelope),
+                                Err(e) => Line::BadEnvelope {
+                                    id: parsed
+                                        .as_object()
+                                        .and_then(|o| serde::find_field(o, "id"))
+                                        .and_then(|v| v.as_u64())
+                                        .unwrap_or(0),
+                                    message: format!("malformed envelope: {e}"),
+                                },
+                            }
+                        } else {
+                            match serde_json::from_value::<Request>(&parsed) {
+                                Ok(request) => Line::Plain(request),
+                                Err(e) => Line::Malformed(format!("malformed request: {e}")),
+                            }
                         }
                     }
                 }

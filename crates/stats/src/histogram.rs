@@ -1,85 +1,9 @@
-//! Equal-width histograms, and quantile bin assignment (backing the learn
-//! crate's binned trainer).
+//! Quantile bin assignment backing the learn crate's binned trainer.
 //!
-//! The two binning strategies are intentionally different and stay
-//! separate: [`Histogram`] uses **equal-width** bins, which suit a plot
-//! of value *ranges* on a linear axis, where uneven bin widths would
-//! distort the picture; [`quantile_run_bins`] produces
-//! **equal-count** (quantile) bins because split finding wants roughly
-//! the same number of rows per bin — a skewed feature would otherwise
-//! dump most rows into a handful of wide bins and starve the split scan
-//! of candidate boundaries.
-
-/// An equal-width histogram over `[min, max]`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    /// Inclusive lower bound of the first bin.
-    pub min: f64,
-    /// Inclusive upper bound of the last bin.
-    pub max: f64,
-    /// Count per bin.
-    pub counts: Vec<u64>,
-    /// Number of values outside `[min, max]` or NaN.
-    pub n_ignored: u64,
-}
-
-impl Histogram {
-    /// Build a histogram with `n_bins` equal-width bins over `[min, max]`.
-    ///
-    /// Values outside the range (and NaNs) are counted in `n_ignored`.
-    /// Returns `None` when `n_bins == 0` or the range is empty/invalid.
-    pub fn new(xs: &[f64], min: f64, max: f64, n_bins: usize) -> Option<Histogram> {
-        if n_bins == 0 || max.partial_cmp(&min) != Some(std::cmp::Ordering::Greater) {
-            return None;
-        }
-        let width = (max - min) / n_bins as f64;
-        let mut counts = vec![0u64; n_bins];
-        let mut ignored = 0u64;
-        for &x in xs {
-            if x.is_nan() || x < min || x > max {
-                ignored += 1;
-                continue;
-            }
-            // The max value belongs to the last bin.
-            let bin = (((x - min) / width) as usize).min(n_bins - 1);
-            counts[bin] += 1;
-        }
-        Some(Histogram {
-            min,
-            max,
-            counts,
-            n_ignored: ignored,
-        })
-    }
-
-    /// Histogram spanning the data's own min/max.
-    /// Returns `None` for empty/degenerate (constant or all-NaN) data.
-    pub fn auto(xs: &[f64], n_bins: usize) -> Option<Histogram> {
-        let finite: Vec<f64> = xs.iter().copied().filter(|x| x.is_finite()).collect();
-        let min = finite.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = finite.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        Histogram::new(xs, min, max, n_bins)
-    }
-
-    /// Number of bins.
-    pub fn n_bins(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Total of all bin counts.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// The `(lo, hi)` edges of bin `i`.
-    pub fn bin_edges(&self, i: usize) -> (f64, f64) {
-        let width = (self.max - self.min) / self.n_bins() as f64;
-        (
-            self.min + width * i as f64,
-            self.min + width * (i + 1) as f64,
-        )
-    }
-}
+//! [`quantile_run_bins`] produces **equal-count** (quantile) bins because
+//! split finding wants roughly the same number of rows per bin — a skewed
+//! feature in equal-width bins would dump most rows into a handful of
+//! wide bins and starve the split scan of candidate boundaries.
 
 /// Assign each *run* of equal values in a sorted sequence to a quantile
 /// bin, using at most `max_bins` bins.
@@ -96,8 +20,7 @@ impl Histogram {
 /// most `max_bins - 1` bins close before the remainder).
 ///
 /// This is the bin-edge rule of the learn crate's histogram-binned
-/// trainer; see the module docs for why it is *not* shared with the
-/// equal-width [`Histogram`].
+/// trainer.
 pub fn quantile_run_bins(run_counts: &[usize], max_bins: usize) -> Vec<u32> {
     let max_bins = max_bins.max(1);
     if run_counts.len() <= max_bins {
@@ -124,54 +47,6 @@ pub fn quantile_run_bins(run_counts: &[usize], max_bins: usize) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counts_land_in_bins() {
-        let xs = [0.0, 0.5, 1.0, 1.5, 2.0];
-        let h = Histogram::new(&xs, 0.0, 2.0, 2).unwrap();
-        assert_eq!(h.counts, vec![2, 3]); // [0,1): {0,0.5}; [1,2]: {1,1.5,2}
-        assert_eq!(h.total(), 5);
-        assert_eq!(h.n_ignored, 0);
-    }
-
-    #[test]
-    fn max_value_goes_to_last_bin() {
-        let h = Histogram::new(&[10.0], 0.0, 10.0, 5).unwrap();
-        assert_eq!(h.counts[4], 1);
-    }
-
-    #[test]
-    fn out_of_range_and_nan_ignored() {
-        let xs = [-1.0, 0.5, 99.0, f64::NAN];
-        let h = Histogram::new(&xs, 0.0, 1.0, 1).unwrap();
-        assert_eq!(h.total(), 1);
-        assert_eq!(h.n_ignored, 3);
-    }
-
-    #[test]
-    fn invalid_configs_return_none() {
-        assert!(Histogram::new(&[1.0], 0.0, 1.0, 0).is_none());
-        assert!(Histogram::new(&[1.0], 1.0, 1.0, 3).is_none());
-        assert!(Histogram::new(&[1.0], 2.0, 1.0, 3).is_none());
-    }
-
-    #[test]
-    fn auto_spans_data() {
-        let xs = [1.0, 2.0, 3.0];
-        let h = Histogram::auto(&xs, 2).unwrap();
-        assert_eq!(h.min, 1.0);
-        assert_eq!(h.max, 3.0);
-        assert_eq!(h.total(), 3);
-        assert!(Histogram::auto(&[], 2).is_none());
-        assert!(Histogram::auto(&[5.0, 5.0], 2).is_none(), "constant data");
-    }
-
-    #[test]
-    fn bin_edges_are_uniform() {
-        let h = Histogram::new(&[], 0.0, 10.0, 5).unwrap();
-        assert_eq!(h.bin_edges(0), (0.0, 2.0));
-        assert_eq!(h.bin_edges(4), (8.0, 10.0));
-    }
 
     #[test]
     fn quantile_runs_constant_feature_is_one_bin() {

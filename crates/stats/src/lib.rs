@@ -15,8 +15,7 @@
 //!   different importance measures tell the same story.
 //! * [`describe`] — streaming mean/variance (Welford), moments.
 //! * [`quantile`](mod@quantile) — quantiles with linear interpolation.
-//! * [`histogram`] — equal-width histograms, and equal-count quantile bins
-//!   for the binned trainer.
+//! * [`histogram`] — equal-count quantile bins for the binned trainer.
 //! * [`sampling`] — seeded bootstrap / permutation / reservoir sampling.
 //! * [`distributions`] — normal/lognormal/Poisson samplers built on
 //!   `rand` uniforms (Box–Muller, Knuth), used by `whatif-datagen`.
@@ -31,6 +30,6 @@ pub mod sampling;
 
 pub use correlation::{covariance, pearson, pearson_matrix, spearman};
 pub use describe::{mean, std_dev, variance, RunningStats};
-pub use histogram::{quantile_run_bins, Histogram};
+pub use histogram::quantile_run_bins;
 pub use quantile::{median, quantile};
 pub use rank::{average_ranks, kendall_tau, top_k_overlap};

@@ -771,3 +771,119 @@ fn error_codes_surface_over_the_wire() {
     client.call(&Request::Shutdown).unwrap();
     handle.join().unwrap();
 }
+
+/// Load, pick the KPI and train a small DealClosing session.
+fn trained_session(client: &mut Client) -> u64 {
+    let session = match client
+        .call(&Request::LoadUseCase {
+            use_case: UseCase::DealClosing,
+            n_rows: Some(160),
+            seed: Some(3),
+        })
+        .unwrap()
+    {
+        Response::SessionCreated { session, .. } => session,
+        other => panic!("unexpected: {other:?}"),
+    };
+    assert!(!client
+        .call(&Request::SelectKpi {
+            session,
+            kpi: "Deal Closed?".into(),
+        })
+        .unwrap()
+        .is_error());
+    assert!(!client
+        .call(&Request::Train {
+            session,
+            config: Some(fast_config()),
+        })
+        .unwrap()
+        .is_error());
+    session
+}
+
+/// A `null` amount reads as NaN and `1e400` as +inf; both are rejected
+/// as a typed `Config` error instead of being evaluated, cached and
+/// echoed back as `null`, in slider drags and comparison sweeps alike.
+#[test]
+fn non_finite_perturbation_amounts_are_config_errors_over_v2() {
+    let (addr, handle) = serve("127.0.0.1:0").expect("bind");
+    let mut client = Client::connect(addr).unwrap();
+    let session = trained_session(&mut client);
+
+    for (id, amount) in [(10, "null"), (11, "1e400"), (12, "-1e400")] {
+        let line = format!(
+            "{{\"id\":{id},\"body\":{{\"SensitivityView\":{{\"session\":{session},\
+             \"perturbations\":[{{\"driver\":\"Open Marketing Email\",\
+             \"kind\":{{\"Percentage\":{amount}}}}}]}}}}}}"
+        );
+        let reply: Reply = serde_json::from_str(&client.send_raw(&line).unwrap()).unwrap();
+        assert_eq!(reply.id, id);
+        let error = reply.into_result().unwrap_err();
+        assert_eq!(error.code, ErrorCode::Config, "{amount}: {error}");
+        assert!(error.message.contains("non-finite"), "{}", error.message);
+        // A comparison sweep builds its plans without compiling a named
+        // set, and applies the same check.
+        let line = format!(
+            "{{\"id\":{id},\"body\":{{\"ComparisonView\":{{\"session\":{session},\
+             \"percentages\":[10.0,{amount}]}}}}}}"
+        );
+        let reply: Reply = serde_json::from_str(&client.send_raw(&line).unwrap()).unwrap();
+        let error = reply.into_result().unwrap_err();
+        assert_eq!(error.code, ErrorCode::Config, "sweep {amount}: {error}");
+    }
+    // A finite drag on the same session still answers.
+    let reply = client
+        .call_v2(
+            13,
+            Request::SensitivityView {
+                session,
+                perturbations: vec![Perturbation::percentage("Open Marketing Email", 40.0)],
+            },
+        )
+        .unwrap();
+    assert!(matches!(
+        reply.into_result().unwrap(),
+        Response::Sensitivity(_)
+    ));
+
+    client.call(&Request::Shutdown).unwrap();
+    handle.join().unwrap();
+}
+
+/// The same check covers v3 grids: a scenario with an infinite amount
+/// fails the grid with a typed `Config` error frame. (A NaN cell is the
+/// grid's "driver untouched" marker, so it never becomes an amount.)
+#[test]
+fn non_finite_perturbation_amounts_are_config_errors_over_a_v3_grid() {
+    let (addr, handle) = serve("127.0.0.1:0").expect("bind");
+    let mut client = Client::connect(addr).unwrap();
+    let session = trained_session(&mut client);
+    let mut v3 = V3Client::connect(addr).unwrap();
+
+    for amount in [f64::INFINITY, f64::NEG_INFINITY] {
+        let specs = vec![
+            ScenarioSpec::new(
+                "fine",
+                PerturbationSet::new(vec![Perturbation::percentage("Open Marketing Email", 5.0)]),
+            ),
+            ScenarioSpec::new(
+                "bad",
+                PerturbationSet::new(vec![Perturbation::absolute("Open Marketing Email", amount)]),
+            ),
+        ];
+        let grid = whatif::server::v3::specs_to_grid(session, &specs, false, None);
+        match v3.evaluate_grid(20, grid) {
+            Err(whatif::server::V3Error::Server(e)) => {
+                assert_eq!(e.code, "Config", "{amount}: {}", e.message);
+                assert!(e.message.contains("non-finite"), "{}", e.message);
+            }
+            other => panic!("{amount}: expected a Config error frame, got {other:?}"),
+        }
+    }
+    // The connection keeps serving.
+    assert!(!v3.call_json(21, &Request::ListUseCases).unwrap().is_error());
+
+    client.call(&Request::Shutdown).unwrap();
+    handle.join().unwrap();
+}
